@@ -27,7 +27,6 @@ from .optim import (
     DeConfig,
     ObjectiveError,
     OptResult,
-    Population,
     PsoConfig,
     SearchSpace,
     de_crossover,
@@ -43,7 +42,6 @@ from .svr import (
     SvrModel,
     SvrParams,
     TrainingDiagnostics,
-    count_sv,
     kernel_eval,
     mse,
     predict,

@@ -413,19 +413,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_json_file(path: Path, what: str, parse):
+    """Parse a file this program wrote; a missing or malformed one is a data error."""
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {what} file {path}: {exc!r}") from exc
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    model_path = Path(args.model)
-    if not model_path.exists():
-        raise DataError(f"model file not found: {model_path}")
-    model = model_from_json(model_path.read_text(encoding="utf-8"))
+    model = _read_json_file(Path(args.model), "model", model_from_json)
     if not cfg.data_path.exists():
         raise DataError(f"data file not found: {cfg.data_path}")
     sset, has_target = supervised_from_csv(cfg.data_path.read_text(encoding="utf-8"))
     predictions = predict_batch(model, sset.features)
     actual = sset.targets if has_target else None
     if args.normalizer is not None:
-        nmap = normalizer_from_json(Path(args.normalizer).read_text(encoding="utf-8"))
+        nmap = _read_json_file(Path(args.normalizer), "normalizer", normalizer_from_json)
         predictions = invert_normalizer(nmap, sset.target_name, predictions)
         if actual is not None:
             actual = invert_normalizer(nmap, sset.target_name, actual)

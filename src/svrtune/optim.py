@@ -28,7 +28,6 @@ __all__ = [
     "SearchSpace",
     "DeConfig",
     "PsoConfig",
-    "Population",
     "OptResult",
     "ObjectiveError",
     "init_population",
@@ -123,7 +122,6 @@ class PsoConfig:
     c2: float = 1.494
     iters: int = 200
     v_max_fraction: float = 1.0
-    topology: str = "gbest"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -135,20 +133,8 @@ class PsoConfig:
             raise ValueError("acceleration coefficients must be >= 0")
         if not 0.0 < self.v_max_fraction <= 1.0:
             raise ValueError("v_max_fraction must lie in (0, 1]")
-        if self.topology != "gbest":
-            raise ValueError("only the gbest topology is supported")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-@dataclass
-class Population:
-    members: np.ndarray
-    fitness: np.ndarray | None = None
-    generation: int = 0
-
-    def __len__(self) -> int:
-        return self.members.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +157,7 @@ def _member_rng(seed: int, generation: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def init_population(space: SearchSpace, size: int, seed: int) -> Population:
+def init_population(space: SearchSpace, size: int, seed: int) -> np.ndarray:
     """Uniform sample inside the box; substream (0, i) drives member i."""
     if size < 1:
         raise ValueError("population size must be >= 1")
@@ -179,10 +165,10 @@ def init_population(space: SearchSpace, size: int, seed: int) -> Population:
     members = np.empty((size, space.d))
     for i in range(size):
         members[i] = _member_rng(seed, 0, i).uniform(lower, upper)
-    return Population(members=members, fitness=None, generation=0)
+    return members
 
 
-def de_mutate(pop: Population, target_index: int, config: DeConfig,
+def de_mutate(members: np.ndarray, target_index: int, config: DeConfig,
               best_index: int, rng: np.random.Generator) -> np.ndarray:
     """Mutant vector for one target.
 
@@ -190,7 +176,6 @@ def de_mutate(pop: Population, target_index: int, config: DeConfig,
     local_to_best_1_bin: v = x_i + F (x_best - x_i) + F (x_r1 - x_r2)
     Partner indices are distinct and never equal the target.
     """
-    members = pop.members
     size = members.shape[0]
     if size < 4:
         raise ValueError("population too small to draw distinct partners")
@@ -261,8 +246,7 @@ def de_optimize(objective: Callable, space: SearchSpace, config: DeConfig,
     """
     evaluate = _Evaluator(objective, workers)
     try:
-        pop = init_population(space, config.pop_size, config.seed)
-        members = pop.members
+        members = init_population(space, config.pop_size, config.seed)
         fitness = evaluate(members)
         lower, upper = space.lower, space.upper
         best_i = int(np.argmin(fitness))
@@ -271,11 +255,10 @@ def de_optimize(objective: Callable, space: SearchSpace, config: DeConfig,
         history = [(best_f, float(fitness.mean()))]
         trials = np.empty_like(members)
         for g in range(1, config.g_max + 1):
-            snapshot = Population(members=members, fitness=fitness, generation=g - 1)
             best_index = int(np.argmin(fitness))
             for i in range(config.pop_size):
                 rng = _member_rng(config.seed, g, i)
-                mutant = de_mutate(snapshot, i, config, best_index, rng)
+                mutant = de_mutate(members, i, config, best_index, rng)
                 trial = de_crossover(members[i], mutant, config.cr, rng)
                 np.clip(trial, lower, upper, out=trial)
                 trials[i] = trial
@@ -305,8 +288,7 @@ def pso_optimize(objective: Callable, space: SearchSpace, config: PsoConfig,
     """
     evaluate = _Evaluator(objective, workers)
     try:
-        pop = init_population(space, config.swarm, config.seed)
-        x = pop.members
+        x = init_population(space, config.swarm, config.seed)
         fitness = evaluate(x)
         lower, upper = space.lower, space.upper
         v_max = config.v_max_fraction * space.span

@@ -16,10 +16,17 @@ Kernel convention: for the RBF kernel, gamma denotes the full denominator of
 the exponent, k(x, z) = exp(-||x - z||^2 / gamma), i.e. gamma = 2*sigma^2.
 Larger gamma means a wider, smoother kernel. This is the reciprocal of the
 sklearn/libsvm convention; see README.
+
+Squared distances (rbf) and inner products (other kinds) are summed one
+feature column at a time, sum_k (x_k - z_k)^2 or sum_k x_k z_k, with no BLAS
+call; predictions reduce beta-weighted kernel rows with numpy. Each entry
+depends only on its two rows, so distances are exactly 0 on the diagonal,
+never negative, and the same for any BLAS library or thread count.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,12 +40,12 @@ __all__ = [
     "SolverSettings",
     "TrainingDiagnostics",
     "SvrModel",
+    "KernelGeometry",
     "kernel_eval",
     "train_svr",
     "predict",
     "predict_batch",
     "mse",
-    "count_sv",
     "dual_objective",
     "model_to_json",
     "model_from_json",
@@ -150,49 +157,48 @@ class SvrModel:
 
 # --- kernels -----------------------------------------------------------------
 
-def _pairwise_sqdist(X: np.ndarray, Z: np.ndarray, same: bool = False) -> np.ndarray:
-    xx = np.sum(X * X, axis=1)[:, None]
-    zz = np.sum(Z * Z, axis=1)[None, :]
-    sq = xx + zz - 2.0 * (X @ Z.T)
-    np.maximum(sq, 0.0, out=sq)
-    if same:
-        np.fill_diagonal(sq, 0.0)
-    return sq
+def _kernel_base(sqdist: bool, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of (x - z)^2 if sqdist, else of x * z; x and z
+    broadcast over the leading axes."""
+    shape = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
+    base = np.zeros(shape)
+    term = np.empty(shape)
+    for k in range(x.shape[-1]):
+        if sqdist:
+            np.subtract(x[..., k], z[..., k], out=term)
+            term *= term
+        else:
+            np.multiply(x[..., k], z[..., k], out=term)
+        base += term
+    return base
 
 
-def _kernel_matrix(
-    spec: KernelSpec,
-    X: np.ndarray,
-    Z: np.ndarray | None = None,
-    sqdist: np.ndarray | None = None,
-) -> np.ndarray:
-    same = Z is None or Z is X
+def _kernel_values(spec: KernelSpec, base: np.ndarray) -> np.ndarray:
+    """Map a kernel base to kernel values, overwriting base."""
+    if spec.kind == "rbf":
+        base /= -spec.gamma
+        np.exp(base, out=base)
+    elif spec.kind == "polynomial":
+        base += 1.0
+        base **= spec.degree
+    elif spec.kind == "sigmoid":
+        base += spec.shift
+        np.tanh(base, out=base)
+    return base
+
+
+def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
     Zm = X if Z is None else Z
-    if spec.kind == "linear":
-        return X @ Zm.T
-    if spec.kind == "polynomial":
-        return (X @ Zm.T + 1.0) ** spec.degree
-    if spec.kind == "sigmoid":
-        return np.tanh(X @ Zm.T + spec.shift)
-    if sqdist is None:
-        sqdist = _pairwise_sqdist(X, Zm, same=same)
-    return np.exp(-sqdist / spec.gamma)
+    return _kernel_values(spec, _kernel_base(spec.kind == "rbf", X[:, None, :], Zm[None, :, :]))
 
 
 def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Scalar kernel value; the reference definition used by the matrix paths."""
+    """Scalar kernel value; the same arithmetic as every matrix path."""
     x = np.asarray(x, dtype=np.float64).ravel()
     z = np.asarray(z, dtype=np.float64).ravel()
     if x.shape != z.shape:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs {z.shape[0]}")
-    if spec.kind == "linear":
-        return float(x @ z)
-    if spec.kind == "polynomial":
-        return float((x @ z + 1.0) ** spec.degree)
-    if spec.kind == "sigmoid":
-        return float(np.tanh(x @ z + spec.shift))
-    diff = x - z
-    return float(np.exp(-(diff @ diff) / spec.gamma))
+    return float(_kernel_values(spec, _kernel_base(spec.kind == "rbf", x, z)))
 
 
 class _DenseKernel:
@@ -212,15 +218,52 @@ class _LazyKernel:
     def __init__(self, spec: KernelSpec, X: np.ndarray) -> None:
         self.spec = spec
         self.X = X
-        if spec.kind == "rbf":
-            self.diag = np.ones(X.shape[0])
-        else:
-            self.diag = np.array([kernel_eval(spec, row, row) for row in X])
+        self.diag = _kernel_values(spec, _kernel_base(spec.kind == "rbf", X, X))
 
     def column(self, i: int) -> np.ndarray:
-        col = _kernel_matrix(self.spec, self.X, self.X[i : i + 1]).ravel()
-        col[i] = self.diag[i]
-        return col
+        return _kernel_matrix(self.spec, self.X[i : i + 1], self.X)[0]
+
+
+class KernelGeometry:
+    """Pairwise kernel base of one training set, built once and shared by
+    every fit on it: squared distances for rbf, inner products otherwise.
+
+    The (n, n) base is kept up to KERNEL_CACHE_LIMIT rows; above it, kernel
+    columns are recomputed on demand.
+    """
+
+    def __init__(self, features, kernel_kind: str = "rbf") -> None:
+        X = np.asarray(features, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        self.features = X
+        self.sqdist = kernel_kind == "rbf"
+        self.base = None
+        if X.shape[0] <= KERNEL_CACHE_LIMIT:
+            self.base = _kernel_base(self.sqdist, X[:, None, :], X[None, :, :])
+
+    def subset(self, rows) -> "KernelGeometry":
+        """Geometry of features[rows]: an index sub-block of the base, equal to a
+        fresh build on those rows bit for bit; a contiguous run is a view."""
+        rows = np.asarray(rows, dtype=np.intp)
+        pick = rows
+        block = np.ix_(rows, rows)
+        if rows.size and np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
+            pick = slice(rows[0], rows[0] + rows.size)
+            block = (pick, pick)
+        sub = copy.copy(self)
+        sub.features = self.features[pick]
+        if self.base is not None:
+            sub.base = self.base[block]
+        return sub
+
+    def kernel(self, spec: KernelSpec):
+        """Kernel of these rows under spec, as the dual solver reads it."""
+        if (spec.kind == "rbf") != self.sqdist:
+            raise ValueError(f"a {spec.kind} kernel needs a geometry built for it")
+        if self.base is None:
+            return _LazyKernel(spec, self.features)
+        return _DenseKernel(_kernel_values(spec, np.array(self.base)))
 
 
 def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
@@ -309,32 +352,15 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     return beta, float(bias), steps, max(float(violation), 0.0)
 
 
-def _train_on_kernel(X: np.ndarray, y: np.ndarray, params: SvrParams,
-                     settings: SolverSettings, kernel) -> SvrModel:
-    n = y.shape[0]
-    max_passes = settings.max_passes if settings.max_passes is not None else 10 * n
-    beta, bias, steps, violation = _solve_dual(
-        kernel, y, params.c, params.epsilon, settings.kkt_tolerance, max_passes * n
-    )
-    sv_mask = np.abs(beta) > settings.sv_threshold
-    return SvrModel(
-        support_inputs=X[sv_mask].copy(),
-        beta=beta[sv_mask].copy(),
-        bias=bias,
-        params=params,
-        n_sv=int(sv_mask.sum()),
-        diagnostics=TrainingDiagnostics(iterations=steps, max_kkt_violation=violation),
-    )
-
-
 def train_svr(features, targets, params: SvrParams,
-              settings: SolverSettings | None = None, seed: int = 0) -> SvrModel:
+              settings: SolverSettings | None = None, *,
+              geometry: KernelGeometry | None = None) -> SvrModel:
     """Fit an epsilon-SVR on (features, targets).
 
-    Fully deterministic: the pair-selection rule is greedy, so the result
-    does not depend on seed (accepted for interface stability). The kernel
-    matrix is cached whole for n <= KERNEL_CACHE_LIMIT, otherwise columns
-    are recomputed on demand.
+    Fully deterministic: the pair-selection rule is greedy. geometry is the
+    KernelGeometry of these features, shared by many fits on one training
+    set (often a subset of a larger one); without it one is built here. The
+    model is the same bit for bit either way.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -347,11 +373,25 @@ def train_svr(features, targets, params: SvrParams,
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite training data")
     settings = settings or SolverSettings()
-    if X.shape[0] <= KERNEL_CACHE_LIMIT:
-        kernel = _DenseKernel(_kernel_matrix(params.kernel, X))
-    else:
-        kernel = _LazyKernel(params.kernel, X)
-    return _train_on_kernel(X, y, params, settings, kernel)
+    if geometry is None:
+        geometry = KernelGeometry(X, params.kernel.kind)
+    elif not np.array_equal(geometry.features, X):
+        raise ValueError("geometry was built from other features")
+    n = y.shape[0]
+    max_passes = settings.max_passes if settings.max_passes is not None else 10 * n
+    beta, bias, steps, violation = _solve_dual(
+        geometry.kernel(params.kernel), y, params.c, params.epsilon,
+        settings.kkt_tolerance, max_passes * n
+    )
+    sv_mask = np.abs(beta) > settings.sv_threshold
+    return SvrModel(
+        support_inputs=X[sv_mask].copy(),
+        beta=beta[sv_mask].copy(),
+        bias=bias,
+        params=params,
+        n_sv=int(sv_mask.sum()),
+        diagnostics=TrainingDiagnostics(iterations=steps, max_kkt_violation=violation),
+    )
 
 
 def predict_batch(model: SvrModel, features) -> np.ndarray:
@@ -363,7 +403,8 @@ def predict_batch(model: SvrModel, features) -> np.ndarray:
     if model.beta.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
     K = _kernel_matrix(model.params.kernel, X, model.support_inputs)
-    return K @ model.beta + model.bias
+    K *= model.beta
+    return K.sum(axis=1) + model.bias
 
 
 def predict(model: SvrModel, x) -> float:
@@ -379,19 +420,15 @@ def mse(actual, predicted) -> float:
     if a.shape[0] == 0:
         raise ValueError("mse undefined for empty vectors")
     d = a - p
-    return float(d @ d / a.shape[0])
-
-
-def count_sv(model: SvrModel, threshold: float = 1e-8) -> int:
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    return int((np.abs(model.beta) > threshold).sum())
+    d *= d
+    return float(d.sum() / a.shape[0])
 
 
 def dual_objective(K: np.ndarray, y: np.ndarray, epsilon: float, beta: np.ndarray) -> float:
     """Dual value of a coefficient vector under a fixed kernel matrix."""
     beta = np.asarray(beta, dtype=np.float64)
-    return float(-0.5 * beta @ (K @ beta) - epsilon * np.abs(beta).sum() + y @ beta)
+    quad = (beta * (K * beta).sum(axis=1)).sum()
+    return float(-0.5 * quad - epsilon * np.abs(beta).sum() + (y * beta).sum())
 
 
 # --- serialization -----------------------------------------------------------

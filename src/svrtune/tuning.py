@@ -19,15 +19,11 @@ from . import jsonio
 from .dataset import NormalizationMap, SupervisedSet, invert_normalizer
 from .optim import DeConfig, OptResult, PsoConfig, SearchSpace, de_optimize, pso_optimize
 from .svr import (
-    KERNEL_CACHE_LIMIT,
+    KernelGeometry,
     KernelSpec,
     SolverSettings,
     SvrModel,
     SvrParams,
-    _DenseKernel,
-    _kernel_matrix,
-    _pairwise_sqdist,
-    _train_on_kernel,
     mse,
     predict_batch,
     train_svr,
@@ -205,17 +201,9 @@ def _fingerprint(train: SupervisedSet, test: SupervisedSet) -> str:
 
 
 def _assess(train: SupervisedSet, test: SupervisedSet, params: SvrParams,
-            settings: SolverSettings, seed: int, sqdist: np.ndarray | None = None):
-    """Train and measure one parameter triple.
-
-    The cached-sqdist path produces bit-identical models to a plain
-    train_svr call on the same data.
-    """
-    if sqdist is not None and len(train) <= KERNEL_CACHE_LIMIT and params.kernel.kind == "rbf":
-        kernel = _DenseKernel(_kernel_matrix(params.kernel, train.features, sqdist=sqdist))
-        model = _train_on_kernel(train.features, train.targets, params, settings, kernel)
-    else:
-        model = train_svr(train.features, train.targets, params, settings, seed)
+            settings: SolverSettings, geometry: KernelGeometry | None = None):
+    """Train and measure one parameter triple."""
+    model = train_svr(train.features, train.targets, params, settings, geometry=geometry)
     train_mse = mse(train.targets, predict_batch(model, train.features))
     test_mse = mse(test.targets, predict_batch(model, test.features))
     return model, train_mse, test_mse
@@ -223,22 +211,21 @@ def _assess(train: SupervisedSet, test: SupervisedSet, params: SvrParams,
 
 def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
           settings: SolverSettings | None = None, seed: int = 0) -> list[SweepRow]:
-    """Train one model per grid value; rows come back in grid order."""
+    """Train one model per grid value; rows come back in grid order.
+    seed is unused (the solver is deterministic)."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if len(test) == 0:
         raise ValueError("test set is empty")
     settings = settings or SolverSettings()
-    sqdist = None
-    if spec.kernel_kind == "rbf" and len(train) <= KERNEL_CACHE_LIMIT:
-        sqdist = _pairwise_sqdist(train.features, train.features, same=True)
+    geometry = KernelGeometry(train.features, spec.kernel_kind)
     rows: list[SweepRow] = []
     for value in spec.grid:
         c, epsilon, gamma = spec.triple_at(value)
         params = SvrParams(c, epsilon, KernelSpec(spec.kernel_kind, gamma=gamma,
                                                   degree=spec.degree, shift=spec.shift))
         try:
-            model, train_mse, test_mse = _assess(train, test, params, settings, seed, sqdist)
+            model, train_mse, test_mse = _assess(train, test, params, settings, geometry)
         except Exception as exc:
             raise RuntimeError(f"solver failed at grid value {value}") from exc
         rows.append(SweepRow(value=float(value), train_mse=train_mse,
@@ -266,24 +253,20 @@ def select_range_by_sv_fraction(rows: Sequence[SweepRow], train_size: int,
 class SvrObjective:
     """Pure, picklable fitness over (c, epsilon, gamma) triples.
 
-    For the train_mse kind on RBF kernels the pairwise squared distances of
-    the training rows are cached up front, so repeated calls only pay for
-    the kernel exponential and the dual solve.
+    The kernel geometry of the training rows is built once; every call fits
+    on it (train_mse) or on its index sub-blocks (holdout and k-fold), so
+    repeated calls only pay for the kernel map and the dual solve.
     """
 
     def __init__(self, train: SupervisedSet, spec: FitnessSpec, kernel_kind: str,
-                 settings: SolverSettings, seed: int,
-                 degree: int = 3, shift: float = 0.0) -> None:
+                 settings: SolverSettings) -> None:
         if len(train) == 0:
             raise ValueError("train set is empty")
         self.features = train.features
         self.targets = train.targets
         self.spec = spec
         self.kernel_kind = kernel_kind
-        self.degree = degree
-        self.shift = shift
         self.settings = settings
-        self.seed = seed
         n = len(train)
         self._folds: list[tuple[np.ndarray, np.ndarray]] | None
         if spec.kind == "train_mse":
@@ -305,37 +288,28 @@ class SvrObjective:
                 val = np.arange(bounds[f], bounds[f + 1])
                 fit = np.concatenate([np.arange(0, bounds[f]), np.arange(bounds[f + 1], n)])
                 self._folds.append((fit, val))
-        self._sqdist = None
-        if self._folds is None and kernel_kind == "rbf" and n <= KERNEL_CACHE_LIMIT:
-            self._sqdist = _pairwise_sqdist(self.features, self.features, same=True)
+        rows = np.arange(n)
+        self._splits = self._folds or [(rows, rows)]
+        self.geometry = KernelGeometry(self.features, kernel_kind)
 
     def fold_indices(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
         return self._folds
 
     def __call__(self, x) -> float:
         c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
-        params = SvrParams(c, epsilon, KernelSpec(self.kernel_kind, gamma=gamma,
-                                                  degree=self.degree, shift=self.shift))
-        if self._folds is None:
-            if self._sqdist is not None:
-                kernel = _DenseKernel(_kernel_matrix(params.kernel, self.features,
-                                                     sqdist=self._sqdist))
-                model = _train_on_kernel(self.features, self.targets, params,
-                                         self.settings, kernel)
-            else:
-                model = train_svr(self.features, self.targets, params, self.settings, self.seed)
-            return mse(self.targets, predict_batch(model, self.features))
+        params = SvrParams(c, epsilon, KernelSpec(self.kernel_kind, gamma=gamma))
         total = 0.0
-        for fit, val in self._folds:
-            model = train_svr(self.features[fit], self.targets[fit], params,
-                              self.settings, self.seed)
+        for fit, val in self._splits:
+            model = train_svr(self.features[fit], self.targets[fit], params, self.settings,
+                              geometry=self.geometry.subset(fit))
             total += mse(self.targets[val], predict_batch(model, self.features[val]))
-        return total / len(self._folds)
+        return total / len(self._splits)
 
 
 def make_fitness(train: SupervisedSet, spec: FitnessSpec, kernel_kind: str = "rbf",
                  settings: SolverSettings | None = None, seed: int = 0) -> SvrObjective:
-    return SvrObjective(train, spec, kernel_kind, settings or SolverSettings(), seed)
+    """The fitness the optimizers minimize; seed is unused (it draws nothing)."""
+    return SvrObjective(train, spec, kernel_kind, settings or SolverSettings())
 
 
 def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
@@ -343,7 +317,8 @@ def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
                     kernel_kind: str = "rbf", degree: int = 3, shift: float = 0.0,
                     settings: SolverSettings | None = None, seed: int = 0,
                     method: str = "svm_default") -> tuple[TuneReport, SvrModel]:
-    """Train at one triple and report train/test MSE and the SV count."""
+    """Train at one triple and report train/test MSE and the SV count.
+    seed is unused (the solver is deterministic)."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if len(test) == 0:
@@ -352,7 +327,7 @@ def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
     params = SvrParams(c, epsilon, KernelSpec(kernel_kind, gamma=gamma,
                                               degree=degree, shift=shift))
     t0 = time.perf_counter()
-    model, train_mse, test_mse = _assess(train, test, params, settings, seed)
+    model, train_mse, test_mse = _assess(train, test, params, settings)
     wall = time.perf_counter() - t0
     report = TuneReport(
         method=method, c=float(c), epsilon=float(epsilon), gamma=float(gamma),
@@ -373,7 +348,7 @@ def tune(train: SupervisedSet, test: SupervisedSet, box: ParamBox,
     """
     fitness = fitness or FitnessSpec.train_mse()
     settings = settings or SolverSettings()
-    objective = make_fitness(train, fitness, kernel_kind, settings, seed=config.seed)
+    objective = make_fitness(train, fitness, kernel_kind, settings)
     space = box.to_search_space()
     t0 = time.perf_counter()
     if isinstance(config, DeConfig):
@@ -387,7 +362,7 @@ def tune(train: SupervisedSet, test: SupervisedSet, box: ParamBox,
     c, epsilon, gamma = (float(v) for v in result.best_x)
     report, model = evaluate_triple(train, test, c, epsilon, gamma,
                                     kernel_kind=kernel_kind, settings=settings,
-                                    seed=config.seed, method=method)
+                                    method=method)
     wall = time.perf_counter() - t0
     report = replace(report, wall_time=wall, optimizer_history=result)
     return report, model

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svrtune
 from svrtune.cli import main
 from svrtune.dataset import (
     normalizer_from_json,
@@ -133,6 +138,31 @@ class TestTune:
         for name in ("report.json", "model.json", "history.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path):
+        # PSO on the 701-row walk with the train-mse fitness and a binding
+        # step budget: truncated solves amplify last-bit kernel differences
+        # into a different search path, so any BLAS-dependent arithmetic shows
+        data = tmp_path / "walk.csv"
+        data.write_text(series_to_csv(synthetic_ohlcv(rows=701, seed=0, drift=0.0)), encoding="utf-8")
+        src = str(Path(svrtune.__file__).resolve().parents[1])
+        runs = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"blas{blas_threads}"
+            cmd = [sys.executable, "-m", "svrtune.cli", "tune", *shared(data, out, 500, 200),
+                   "--normalize", "--method", "pso", "--swarm", "15", "--iters", "10",
+                   "--c-range", "1:550", "--epsilon-range", "0.01:0.3", "--gamma-range", "0.2:4",
+                   "--max-passes", "3", "--seed", "0", "--threads", "1"]
+            runs.append((out, subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                                               stderr=subprocess.PIPE)))
+        for _, proc in runs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err.decode()
+        (a, _), (b, _) = runs
+        for name in ("report.json", "model.json", "history.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_preset_and_ranges_conflict_exits_2(self, data_csv, tmp_path):
         code = main(["tune", *shared(data_csv, tmp_path / "o"), "--method", "de",
                      "--preset", "apple-normalized", "--c-range", "1:5",
@@ -233,6 +263,31 @@ class TestPredict:
     def test_missing_model_exits_3(self, data_csv, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),
                      "--data", str(data_csv), "--out", str(tmp_path)]) == 3
+
+    def test_missing_or_malformed_normalizer_exits_3(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["ingest", *shared(data_csv, out), "--normalize"]) == 0
+        assert main(["train", *shared(data_csv, out), "--normalize"]) == 0
+        (tmp_path / "bad.json").write_text("{}")
+        for name, message in (("nope.json", "normalizer file not found"),
+                              ("bad.json", "malformed normalizer file")):
+            code = main(["predict", "--model", str(out / "model.json"),
+                         "--data", str(out / "supervised.csv"),
+                         "--normalizer", str(tmp_path / name), "--out", str(out)])
+            assert code == 3
+            assert message in capsys.readouterr().err
+
+    def test_malformed_model_exits_3(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["ingest", *shared(data_csv, out)]) == 0
+        assert main(["train", *shared(data_csv, out)]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        del doc["bias"]
+        for text in ('{"kernel": 1}', json.dumps(doc), "{not json"):
+            (tmp_path / "bad.json").write_text(text)
+            assert main(["predict", "--model", str(tmp_path / "bad.json"),
+                         "--data", str(out / "supervised.csv"), "--out", str(out)]) == 3
+            assert "malformed model file" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -8,7 +8,6 @@ from svrtune.benchmarks import rosenbrock, sphere
 from svrtune.optim import (
     DeConfig,
     ObjectiveError,
-    Population,
     PsoConfig,
     SearchSpace,
     de_crossover,
@@ -60,26 +59,24 @@ class TestConfigs:
             PsoConfig(swarm=1)
         with pytest.raises(ValueError):
             PsoConfig(v_max_fraction=0.0)
-        with pytest.raises(ValueError):
-            PsoConfig(topology="ring")
 
 
 class TestInitPopulation:
     def test_within_bounds(self):
         space = SearchSpace((("x", 0.0, 1.0),))
         pop = init_population(space, 4, seed=0)
-        assert pop.members.shape == (4, 1)
-        assert np.all(pop.members >= 0.0) and np.all(pop.members <= 1.0)
+        assert pop.shape == (4, 1)
+        assert np.all(pop >= 0.0) and np.all(pop <= 1.0)
 
     def test_same_seed_identical(self):
         a = init_population(BOX2, 12, seed=5)
         b = init_population(BOX2, 12, seed=5)
-        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         a = init_population(BOX2, 12, seed=5)
         b = init_population(BOX2, 12, seed=6)
-        assert not np.array_equal(a.members, b.members)
+        assert not np.array_equal(a, b)
 
 
 class TestMutate:
@@ -96,30 +93,28 @@ class TestMutate:
 
     def test_identical_population_fixed_point(self):
         members = np.tile(np.array([1.5, -2.0]), (6, 1))
-        pop = Population(members=members)
         for strategy in ("rand_1_bin", "local_to_best_1_bin"):
             cfg = DeConfig(pop_size=6, f=0.8, strategy=strategy)
-            mutant = de_mutate(pop, 1, cfg, 0, rng_for())
+            mutant = de_mutate(members, 1, cfg, 0, rng_for())
             np.testing.assert_array_equal(mutant, [1.5, -2.0])
 
     def test_local_to_best_f_zero_returns_target(self):
         pop = init_population(BOX2, 6, seed=2)
         cfg = DeConfig(pop_size=6, f=1e-300, strategy="local_to_best_1_bin")
         mutant = de_mutate(pop, 3, cfg, 0, rng_for())
-        np.testing.assert_allclose(mutant, pop.members[3], rtol=0, atol=1e-290)
+        np.testing.assert_allclose(mutant, pop[3], rtol=0, atol=1e-290)
 
     def test_rand_1_base_is_another_member(self):
         pop = init_population(BOX2, 6, seed=2)
         cfg = DeConfig(pop_size=6, f=1e-300, strategy="rand_1_bin")
         mutant = de_mutate(pop, 3, cfg, 0, rng_for())
-        close = [np.allclose(mutant, pop.members[k], atol=1e-290) for k in range(6)]
+        close = [np.allclose(mutant, pop[k], atol=1e-290) for k in range(6)]
         assert any(close)
         assert not close[3]
 
     def test_too_small_population(self):
-        pop = Population(members=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="too small"):
-            de_mutate(pop, 0, DeConfig(pop_size=4), 0, rng_for())
+            de_mutate(np.zeros((3, 2)), 0, DeConfig(pop_size=4), 0, rng_for())
 
 
 class TestCrossover:

@@ -92,7 +92,7 @@ class TestSweep:
         spec = SweepSpec(varying="epsilon", grid=(0.05,), c=2.0, gamma=0.5)
         row = sweep(train, test, spec, SETTINGS, seed=0)[0]
         params = SvrParams(2.0, 0.05, KernelSpec("rbf", gamma=0.5))
-        model = train_svr(train.features, train.targets, params, SETTINGS, seed=0)
+        model = train_svr(train.features, train.targets, params, SETTINGS)
         assert row.train_mse == mse(train.targets, predict_batch(model, train.features))
         assert row.test_mse == mse(test.targets, predict_batch(model, test.features))
         assert row.n_sv == model.n_sv
@@ -166,10 +166,20 @@ class TestMakeFitness:
 
     def test_train_mse_matches_composition_at_default_triple(self):
         train, _ = wave_split(seed=4)
+        model = train_svr(train.features, train.targets, DEFAULT_PARAMS, SETTINGS)
         objective = make_fitness(train, FitnessSpec.train_mse(), settings=SETTINGS)
-        value = objective(np.array([1.0, 0.1, 0.2]))
-        model = train_svr(train.features, train.targets, DEFAULT_PARAMS, SETTINGS, seed=0)
-        assert value == mse(train.targets, predict_batch(model, train.features))
+        assert objective(np.array([1.0, 0.1, 0.2])) == mse(
+            train.targets, predict_batch(model, train.features))
+        # holdout and k-fold fit on sub-blocks of the shared kernel geometry;
+        # each fold must equal a plain fit on its rows (middle k-fold blocks
+        # are not contiguous)
+        for spec in (FitnessSpec.holdout(0.25), FitnessSpec.kfold(4)):
+            objective = make_fitness(train, spec, settings=SETTINGS)
+            total = 0.0
+            for fit, val in objective.fold_indices():
+                model = train_svr(train.features[fit], train.targets[fit], DEFAULT_PARAMS, SETTINGS)
+                total += mse(train.targets[val], predict_batch(model, train.features[val]))
+            assert objective(np.array([1.0, 0.1, 0.2])) == total / len(objective.fold_indices())
 
     def test_kfold_blocks_are_contiguous(self):
         feats = np.random.default_rng(1).normal(size=(500, 5))
