@@ -23,7 +23,7 @@ from svrtune.dataset import (
     split,
 )
 from svrtune.optim import DeConfig, PsoConfig, history_csv
-from svrtune.svr import SolverSettings, model_to_json
+from svrtune.svr import DEFAULT_PARAMS, SolverSettings, model_to_json
 from svrtune.synth import synthetic_ohlcv
 from svrtune.tuning import (
     FitnessSpec,
@@ -83,7 +83,8 @@ def main() -> int:
     settings = SolverSettings(max_passes=3)
 
     default_report, default_model = evaluate_triple(
-        train, test, 1.0, 0.1, 0.2, settings=settings, seed=args.seed)
+        train, test, DEFAULT_PARAMS.c, DEFAULT_PARAMS.epsilon, DEFAULT_PARAMS.kernel.gamma,
+        settings=settings)
     de_config = DeConfig(pop_size=args.np_size, g_max=args.gmax, cr=0.7, f=0.9,
                          strategy="local_to_best_1_bin", seed=args.seed)
     de_report, de_model = tune(train, test, box, de_config, fitness, settings,

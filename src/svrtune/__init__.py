@@ -2,7 +2,7 @@
 
 Library layout:
   dataset  - OHLCV ingestion, next-day-close task, min-max normalization
-  svr      - kernels, dual solver, prediction, MSE
+  svr      - RBF kernel, dual solver, prediction, MSE
   optim    - differential evolution and particle swarm optimization
   tuning   - heuristics, sweeps, DE-SVM / PSO-SVM search, comparison reports
   cli      - the `svrtune` command

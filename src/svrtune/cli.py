@@ -37,7 +37,10 @@ from .dataset import (
 )
 from .optim import DeConfig, ObjectiveError, PsoConfig, history_csv
 from .svr import (
+    DEFAULT_PARAMS,
+    KernelSpec,
     SolverSettings,
+    SvrParams,
     model_from_json,
     model_to_json,
     predict_batch,
@@ -135,7 +138,7 @@ def _fix_pair(text: str) -> tuple[str, float]:
     name = name.strip().lower()
     if name not in ("c", "epsilon", "gamma"):
         raise argparse.ArgumentTypeError("--fix name must be c, epsilon or gamma")
-    return name, float(raw)
+    return name, (_nonneg_float if name == "epsilon" else _positive_float)(raw)
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -166,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="build the supervised set (and normalizer) from a CSV")
     _add_shared(p)
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, options=lambda args, cfg: None)
 
     p = sub.add_parser("sweep", help="one-at-a-time parameter sweep to CSV")
     _add_shared(p)
@@ -174,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_grid, required=True, metavar="LO:HI:N")
     p.add_argument("--fix", type=_fix_pair, action="append", default=[],
                    metavar="NAME=VALUE", help="fixed value for a non-varying parameter")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, options=_sweep_options)
 
     p = sub.add_parser("tune", help="search (C, epsilon, gamma) with DE or PSO")
     _add_shared(p)
@@ -197,21 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=None, help="PSO social coefficient (1.494)")
     p.add_argument("--vmax-fraction", type=float, default=None,
                    help="PSO velocity clamp as span fraction (1.0)")
-    p.set_defaults(func=cmd_tune)
+    p.set_defaults(func=cmd_tune, options=_tune_options)
 
     p = sub.add_parser("train", help="train one SVR at a fixed triple")
     _add_shared(p)
     p.add_argument("--c", type=_positive_float, default=None, help="cost penalty (1)")
     p.add_argument("--epsilon", type=_nonneg_float, default=None, help="tube half-width (0.1)")
     p.add_argument("--gamma", type=_positive_float, default=None, help="RBF width 2*sigma^2 (0.2)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, options=_train_params)
 
     p = sub.add_parser("predict", help="predict from a saved model")
     _add_shared(p)
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--normalizer", default=None,
                    help="normalizer JSON; output in original price units")
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(func=cmd_predict, options=lambda args, cfg: (Path(args.model), args.normalizer))
 
     return parser
 
@@ -235,10 +238,11 @@ def _get(args: argparse.Namespace, key: str, default):
     return args._file_config.get(key, default)
 
 
-def _run_config(args: argparse.Namespace, need_data: bool = True) -> RunConfig:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The shared settings; creates the output directory."""
     data = _get(args, "data", None)
     out = _get(args, "out", None)
-    if need_data and data is None:
+    if data is None:
         raise UsageError("--data is required")
     if out is None:
         raise UsageError("--out is required")
@@ -247,8 +251,8 @@ def _run_config(args: argparse.Namespace, need_data: bool = True) -> RunConfig:
         kkt_tolerance=float(_get(args, "kkt_tolerance", 1e-3)),
         max_passes=int(max_passes) if max_passes is not None else None,
     )
-    return RunConfig(
-        data_path=Path(data) if data is not None else Path(os.devnull),
+    cfg = RunConfig(
+        data_path=Path(data),
         out_dir=Path(out),
         normalize=bool(_get(args, "normalize", False)),
         x_low=float(_get(args, "x_low", -1.0)),
@@ -260,6 +264,8 @@ def _run_config(args: argparse.Namespace, need_data: bool = True) -> RunConfig:
         threads=int(_get(args, "threads", os.cpu_count() or 1)),
         settings=settings,
     )
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg
 
 
 def _load_supervised(cfg: RunConfig) -> SupervisedSet:
@@ -269,8 +275,16 @@ def _load_supervised(cfg: RunConfig) -> SupervisedSet:
     return build_supervised(series)
 
 
+def _normalize(cfg: RunConfig, sset: SupervisedSet) -> tuple[SupervisedSet, NormalizationMap | None]:
+    if not cfg.normalize:
+        return sset, None
+    rows = range(cfg.train_n) if cfg.fit_range == "train" else range(len(sset))
+    nmap = fit_normalizer(sset, cfg.x_low, cfg.x_up, rows)
+    return apply_normalizer(nmap, sset), nmap
+
+
 def _prepare(cfg: RunConfig) -> tuple[SupervisedSet, SupervisedSet, NormalizationMap | None]:
-    """Ingest, optionally normalize (fit on the configured row range), split."""
+    """Ingest, optionally normalize, split."""
     sset = _load_supervised(cfg)
     if cfg.train_n + cfg.test_n > len(sset):
         raise DataError(
@@ -278,67 +292,66 @@ def _prepare(cfg: RunConfig) -> tuple[SupervisedSet, SupervisedSet, Normalizatio
         )
     if cfg.test_n < 1:
         raise UsageError("--test-n must be >= 1 for evaluation commands")
-    nmap = None
-    if cfg.normalize:
-        rows = range(cfg.train_n) if cfg.fit_range == "train" else range(len(sset))
-        nmap = fit_normalizer(sset, cfg.x_low, cfg.x_up, rows)
-        sset = apply_normalizer(nmap, sset)
+    sset, nmap = _normalize(cfg, sset)
     train, test = split(sset, SplitSpec(cfg.train_n, cfg.test_n))
     return train, test, nmap
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _write(out_dir: Path, texts: dict[str, str]) -> None:
+    """Write artifacts, each through a temp file moved into place. Callers
+    serialize them all first, so a failure leaves the old run's files whole."""
+    for name, text in texts.items():
+        tmp = out_dir / f".{name}.tmp"
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, out_dir / name)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise UsageError(f"cannot write {out_dir / name}: {exc}") from exc
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+def cmd_ingest(cfg: RunConfig, _options: None) -> int:
     sset = _load_supervised(cfg)
-    nmap = None
-    if cfg.normalize:
-        if cfg.train_n > len(sset):
-            raise DataError(f"--train-n {cfg.train_n} exceeds the {len(sset)} supervised rows")
-        rows = range(cfg.train_n) if cfg.fit_range == "train" else range(len(sset))
-        nmap = fit_normalizer(sset, cfg.x_low, cfg.x_up, rows)
-        sset = apply_normalizer(nmap, sset)
-    _write(cfg.out_dir / "supervised.csv", supervised_to_csv(sset))
+    if cfg.normalize and cfg.train_n > len(sset):
+        raise DataError(f"--train-n {cfg.train_n} exceeds the {len(sset)} supervised rows")
+    sset, nmap = _normalize(cfg, sset)
+    texts = {"supervised.csv": supervised_to_csv(sset)}
     if nmap is not None:
-        _write(cfg.out_dir / "normalizer.json", normalizer_to_json(nmap))
+        texts["normalizer.json"] = normalizer_to_json(nmap)
+    _write(cfg.out_dir, texts)
     print(f"supervised rows: {len(sset)} (features per row: {sset.features.shape[1]})")
-    print(f"wrote {cfg.out_dir / 'supervised.csv'}")
-    if nmap is not None:
-        print(f"wrote {cfg.out_dir / 'normalizer.json'}")
+    for name in texts:
+        print(f"wrote {cfg.out_dir / name}")
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    train, test, _ = _prepare(cfg)
+def _sweep_options(args: argparse.Namespace, cfg: RunConfig):
+    """(varying parameter, grid values, fixed values given by --fix)."""
     fixed = dict(args.fix)
-    if "c" not in fixed and args.vary != "c":
-        fixed["c"] = heuristic_c(train.targets)
-    if "gamma" not in fixed and args.vary != "gamma":
-        fixed["gamma"] = heuristic_gamma()
-    if "epsilon" not in fixed and args.vary != "epsilon":
-        fixed["epsilon"] = 0.1
+    if args.vary in fixed:
+        raise UsageError(f"--fix {args.vary} names the varying parameter")
     lo, hi, n = args.grid
-    grid = tuple(float(v) for v in np.linspace(lo, hi, n))
-    spec = SweepSpec(
-        varying=args.vary,
-        grid=grid,
-        c=fixed.get("c") if args.vary != "c" else None,
-        epsilon=fixed.get("epsilon") if args.vary != "epsilon" else None,
-        gamma=fixed.get("gamma") if args.vary != "gamma" else None,
-    )
-    rows = sweep(train, test, spec, cfg.settings, cfg.seed)
-    _write(cfg.out_dir / "sweep.csv", sweep_rows_to_csv(rows))
-    print(f"swept {args.vary} over {len(rows)} grid points -> {cfg.out_dir / 'sweep.csv'}")
+    (_nonneg_float if args.vary == "epsilon" else _positive_float)(lo)  # raises if out of range
+    return args.vary, tuple(float(v) for v in np.linspace(lo, hi, n)), fixed
+
+
+def cmd_sweep(cfg: RunConfig, options) -> int:
+    vary, grid, fixed = options
+    train, test, _ = _prepare(cfg)
+    if "c" not in fixed and vary != "c":
+        fixed["c"] = heuristic_c(train.targets)
+    if "gamma" not in fixed and vary != "gamma":
+        fixed["gamma"] = heuristic_gamma()
+    if "epsilon" not in fixed and vary != "epsilon":
+        fixed["epsilon"] = 0.1
+    rows = sweep(train, test, SweepSpec(varying=vary, grid=grid, **fixed), cfg.settings)
+    _write(cfg.out_dir, {"sweep.csv": sweep_rows_to_csv(rows)})
+    print(f"swept {vary} over {len(rows)} grid points -> {cfg.out_dir / 'sweep.csv'}")
     return EXIT_OK
 
 
-def _parse_fitness(text: str | None) -> FitnessSpec:
-    if text is None or text in ("train-mse", "train_mse"):
+def _parse_fitness(text: str) -> FitnessSpec:
+    if text in ("train-mse", "train_mse"):
         return FitnessSpec.train_mse()
     if text.startswith("holdout:"):
         return FitnessSpec.holdout(float(text.split(":", 1)[1]))
@@ -347,15 +360,16 @@ def _parse_fitness(text: str | None) -> FitnessSpec:
     raise UsageError(f"unknown fitness spec {text!r}")
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+def _tune_options(args: argparse.Namespace, cfg: RunConfig):
+    """(search box, DE or PSO config, fitness)."""
     preset = _get(args, "preset", None)
     ranges = (_get(args, "c_range", None), _get(args, "epsilon_range", None),
               _get(args, "gamma_range", None))
-    have_explicit = any(r is not None for r in ranges)
-    if preset is not None and have_explicit:
+    if preset is not None and any(r is not None for r in ranges):
         raise UsageError("give either --preset or explicit ranges, not both")
     if preset is not None:
+        if preset not in PRESET_BOXES:
+            raise UsageError(f"unknown preset {preset!r}")
         box = PRESET_BOXES[preset]
     elif all(r is not None for r in ranges):
         box = ParamBox(tuple(ranges[0]), tuple(ranges[1]), tuple(ranges[2]))
@@ -380,13 +394,19 @@ def cmd_tune(args: argparse.Namespace) -> int:
             v_max_fraction=float(_get(args, "vmax_fraction", 1.0)),
             seed=cfg.seed,
         )
-    fitness = _parse_fitness(_get(args, "fitness", None))
+    return box, config, _parse_fitness(str(_get(args, "fitness", "train-mse")))
+
+
+def cmd_tune(cfg: RunConfig, options) -> int:
+    box, config, fitness = options
     train, test, _ = _prepare(cfg)
     report, model = tune(train, test, box, config, fitness, cfg.settings,
                          workers=cfg.threads)
-    _write(cfg.out_dir / "report.json", report_to_json(report))
-    _write(cfg.out_dir / "model.json", model_to_json(model))
-    _write(cfg.out_dir / "history.csv", history_csv(report.optimizer_history))
+    _write(cfg.out_dir, {
+        "report.json": report_to_json(report),
+        "model.json": model_to_json(model),
+        "history.csv": history_csv(report.optimizer_history),
+    })
     print(
         f"{report.method}: C={report.c:.8g} epsilon={report.epsilon:.8g} "
         f"gamma={report.gamma:.8g} train_mse={report.train_mse:.8g} "
@@ -396,17 +416,19 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    c = float(_get(args, "c", 1.0))
-    epsilon = float(_get(args, "epsilon", 0.1))
-    gamma = float(_get(args, "gamma", 0.2))
+def _train_params(args: argparse.Namespace, cfg: RunConfig) -> SvrParams:
+    kernel = KernelSpec(gamma=float(_get(args, "gamma", DEFAULT_PARAMS.kernel.gamma)))
+    return SvrParams(float(_get(args, "c", DEFAULT_PARAMS.c)),
+                     float(_get(args, "epsilon", DEFAULT_PARAMS.epsilon)), kernel)
+
+
+def cmd_train(cfg: RunConfig, params: SvrParams) -> int:
     train, test, _ = _prepare(cfg)
-    report, model = evaluate_triple(train, test, c, epsilon, gamma,
-                                    settings=cfg.settings, seed=cfg.seed)
-    _write(cfg.out_dir / "model.json", model_to_json(model))
+    report, model = evaluate_triple(train, test, params.c, params.epsilon, params.kernel.gamma,
+                                    settings=cfg.settings)
+    _write(cfg.out_dir, {"model.json": model_to_json(model)})
     print(
-        f"svm: C={c:.8g} epsilon={epsilon:.8g} gamma={gamma:.8g} "
+        f"svm: C={report.c:.8g} epsilon={report.epsilon:.8g} gamma={report.gamma:.8g} "
         f"train_mse={report.train_mse:.8g} test_mse={report.test_mse:.8g} "
         f"n_sv={report.n_sv}"
     )
@@ -423,16 +445,16 @@ def _read_json_file(path: Path, what: str, parse):
         raise DataError(f"malformed {what} file {path}: {exc!r}") from exc
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    model = _read_json_file(Path(args.model), "model", model_from_json)
+def cmd_predict(cfg: RunConfig, options) -> int:
+    model_path, normalizer_path = options
+    model = _read_json_file(model_path, "model", model_from_json)
     if not cfg.data_path.exists():
         raise DataError(f"data file not found: {cfg.data_path}")
     sset, has_target = supervised_from_csv(cfg.data_path.read_text(encoding="utf-8"))
     predictions = predict_batch(model, sset.features)
     actual = sset.targets if has_target else None
-    if args.normalizer is not None:
-        nmap = _read_json_file(Path(args.normalizer), "normalizer", normalizer_from_json)
+    if normalizer_path is not None:
+        nmap = _read_json_file(Path(normalizer_path), "normalizer", normalizer_from_json)
         predictions = invert_normalizer(nmap, sset.target_name, predictions)
         if actual is not None:
             actual = invert_normalizer(nmap, sset.target_name, actual)
@@ -443,7 +465,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         lines = ["predicted"]
         lines.extend(jsonio.fmt_float(p) for p in predictions)
-    _write(cfg.out_dir / "predictions.csv", "\n".join(lines) + "\n")
+    _write(cfg.out_dir, {"predictions.csv": "\n".join(lines) + "\n"})
     print(f"wrote {len(predictions)} predictions -> {cfg.out_dir / 'predictions.csv'}")
     return EXIT_OK
 
@@ -452,8 +474,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._file_config = _load_config_file(args)
-        return args.func(args)
+        try:  # every flag and config-file value, converted and validated before any fit
+            args._file_config = _load_config_file(args)
+            cfg = _run_config(args)
+            options = args.options(args, cfg)
+        except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(str(exc)) from exc
+        return args.func(cfg, options)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,16 +12,16 @@ and solves the two-coordinate subproblem exactly (the piecewise-quadratic
 line search handles the |b| kink). Convergence is measured by the gap of the
 feasible bias window; the reported bias is that window's midpoint.
 
-Kernel convention: for the RBF kernel, gamma denotes the full denominator of
-the exponent, k(x, z) = exp(-||x - z||^2 / gamma), i.e. gamma = 2*sigma^2.
-Larger gamma means a wider, smoother kernel. This is the reciprocal of the
+The kernel is the RBF kernel k(x, z) = exp(-||x - z||^2 / gamma): gamma
+denotes the full denominator of the exponent, i.e. gamma = 2*sigma^2. Larger
+gamma means a wider, smoother kernel. This is the reciprocal of the
 sklearn/libsvm convention; see README.
 
-Squared distances (rbf) and inner products (other kinds) are summed one
-feature column at a time, sum_k (x_k - z_k)^2 or sum_k x_k z_k, with no BLAS
-call; predictions reduce beta-weighted kernel rows with numpy. Each entry
-depends only on its two rows, so distances are exactly 0 on the diagonal,
-never negative, and the same for any BLAS library or thread count.
+Squared distances are summed one feature column at a time,
+sum_k (x_k - z_k)^2, with no BLAS call; predictions reduce beta-weighted
+kernel rows with numpy. Each entry depends only on its two rows, so distances
+are exactly 0 on the diagonal, never negative, and the same for any BLAS
+library or thread count.
 """
 
 from __future__ import annotations
@@ -53,33 +53,27 @@ __all__ = [
     "KERNEL_CACHE_LIMIT",
 ]
 
-KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
-
 # full kernel matrix is materialized up to this many training rows;
 # above it, columns are recomputed on demand
 KERNEL_CACHE_LIMIT = 4096
 
+# training rows with |beta| above this are support vectors
+SV_THRESHOLD = 1e-8
+
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and its parameters.
-
-    gamma applies to rbf only (exponent denominator, = 2*sigma^2); degree to
-    polynomial; shift to sigmoid.
-    """
+    """The RBF kernel of width gamma (exponent denominator, = 2*sigma^2);
+    kind names it in model files and is always "rbf"."""
 
     kind: str = "rbf"
     gamma: float = 0.0625
-    degree: int = 3
-    shift: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KERNEL_KINDS}")
-        if self.kind == "rbf" and not (np.isfinite(self.gamma) and self.gamma > 0):
+        if self.kind != "rbf":
+            raise ValueError(f"unknown kernel kind {self.kind!r}; only 'rbf' is supported")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("rbf kernel requires gamma > 0")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial kernel requires degree >= 1")
 
 
 @dataclass(frozen=True)
@@ -109,15 +103,12 @@ class SolverSettings:
 
     kkt_tolerance: float = 1e-3
     max_passes: Optional[int] = None
-    sv_threshold: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.kkt_tolerance > 0:
             raise ValueError("kkt_tolerance must be > 0")
         if self.max_passes is not None and self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
-        if self.sv_threshold < 0:
-            raise ValueError("sv_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,7 +121,7 @@ class TrainingDiagnostics:
 class SvrModel:
     """Trained regressor: f(x) = sum_i beta_i k(sv_i, x) + bias.
 
-    Only rows with |beta| above the support-vector threshold are stored.
+    Only rows with |beta| above SV_THRESHOLD are stored.
     """
 
     support_inputs: np.ndarray
@@ -157,39 +148,28 @@ class SvrModel:
 
 # --- kernels -----------------------------------------------------------------
 
-def _kernel_base(sqdist: bool, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of (x - z)^2 if sqdist, else of x * z; x and z
-    broadcast over the leading axes."""
+def _kernel_base(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of (x - z)^2, broadcast over the leading axes."""
     shape = np.broadcast_shapes(x.shape[:-1], z.shape[:-1])
     base = np.zeros(shape)
     term = np.empty(shape)
     for k in range(x.shape[-1]):
-        if sqdist:
-            np.subtract(x[..., k], z[..., k], out=term)
-            term *= term
-        else:
-            np.multiply(x[..., k], z[..., k], out=term)
+        np.subtract(x[..., k], z[..., k], out=term)
+        term *= term
         base += term
     return base
 
 
 def _kernel_values(spec: KernelSpec, base: np.ndarray) -> np.ndarray:
-    """Map a kernel base to kernel values, overwriting base."""
-    if spec.kind == "rbf":
-        base /= -spec.gamma
-        np.exp(base, out=base)
-    elif spec.kind == "polynomial":
-        base += 1.0
-        base **= spec.degree
-    elif spec.kind == "sigmoid":
-        base += spec.shift
-        np.tanh(base, out=base)
+    """Map squared distances to RBF kernel values, overwriting base."""
+    base /= -spec.gamma
+    np.exp(base, out=base)
     return base
 
 
 def _kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
     Zm = X if Z is None else Z
-    return _kernel_values(spec, _kernel_base(spec.kind == "rbf", X[:, None, :], Zm[None, :, :]))
+    return _kernel_values(spec, _kernel_base(X[:, None, :], Zm[None, :, :]))
 
 
 def kernel_eval(spec: KernelSpec, x, z) -> float:
@@ -198,7 +178,7 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
     z = np.asarray(z, dtype=np.float64).ravel()
     if x.shape != z.shape:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs {z.shape[0]}")
-    return float(_kernel_values(spec, _kernel_base(spec.kind == "rbf", x, z)))
+    return float(_kernel_values(spec, _kernel_base(x, z)))
 
 
 class _DenseKernel:
@@ -218,29 +198,28 @@ class _LazyKernel:
     def __init__(self, spec: KernelSpec, X: np.ndarray) -> None:
         self.spec = spec
         self.X = X
-        self.diag = _kernel_values(spec, _kernel_base(spec.kind == "rbf", X, X))
+        self.diag = np.ones(X.shape[0])  # exp(-0 / gamma)
 
     def column(self, i: int) -> np.ndarray:
         return _kernel_matrix(self.spec, self.X[i : i + 1], self.X)[0]
 
 
 class KernelGeometry:
-    """Pairwise kernel base of one training set, built once and shared by
-    every fit on it: squared distances for rbf, inner products otherwise.
+    """Pairwise squared distances of one training set, built once and shared
+    by every fit on it, whatever its gamma.
 
     The (n, n) base is kept up to KERNEL_CACHE_LIMIT rows; above it, kernel
     columns are recomputed on demand.
     """
 
-    def __init__(self, features, kernel_kind: str = "rbf") -> None:
+    def __init__(self, features) -> None:
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         self.features = X
-        self.sqdist = kernel_kind == "rbf"
         self.base = None
         if X.shape[0] <= KERNEL_CACHE_LIMIT:
-            self.base = _kernel_base(self.sqdist, X[:, None, :], X[None, :, :])
+            self.base = _kernel_base(X[:, None, :], X[None, :, :])
 
     def subset(self, rows) -> "KernelGeometry":
         """Geometry of features[rows]: an index sub-block of the base, equal to a
@@ -259,8 +238,6 @@ class KernelGeometry:
 
     def kernel(self, spec: KernelSpec):
         """Kernel of these rows under spec, as the dual solver reads it."""
-        if (spec.kind == "rbf") != self.sqdist:
-            raise ValueError(f"a {spec.kind} kernel needs a geometry built for it")
         if self.base is None:
             return _LazyKernel(spec, self.features)
         return _DenseKernel(_kernel_values(spec, np.array(self.base)))
@@ -374,7 +351,7 @@ def train_svr(features, targets, params: SvrParams,
         raise ValueError("non-finite training data")
     settings = settings or SolverSettings()
     if geometry is None:
-        geometry = KernelGeometry(X, params.kernel.kind)
+        geometry = KernelGeometry(X)
     elif not np.array_equal(geometry.features, X):
         raise ValueError("geometry was built from other features")
     n = y.shape[0]
@@ -383,7 +360,7 @@ def train_svr(features, targets, params: SvrParams,
         geometry.kernel(params.kernel), y, params.c, params.epsilon,
         settings.kkt_tolerance, max_passes * n
     )
-    sv_mask = np.abs(beta) > settings.sv_threshold
+    sv_mask = np.abs(beta) > SV_THRESHOLD
     return SvrModel(
         support_inputs=X[sv_mask].copy(),
         beta=beta[sv_mask].copy(),
@@ -436,7 +413,7 @@ def dual_objective(K: np.ndarray, y: np.ndarray, epsilon: float, beta: np.ndarra
 def model_to_json(model: SvrModel) -> str:
     k = model.params.kernel
     doc = {
-        "kernel": {"kind": k.kind, "gamma": k.gamma, "degree": k.degree, "shift": k.shift},
+        "kernel": {"kind": k.kind, "gamma": k.gamma},
         "c": model.params.c,
         "epsilon": model.params.epsilon,
         "support_inputs": [[float(v) for v in row] for row in model.support_inputs],
@@ -455,8 +432,8 @@ def model_to_json(model: SvrModel) -> str:
 def model_from_json(text: str) -> SvrModel:
     doc = jsonio.loads(text)
     kd = doc["kernel"]
-    spec = KernelSpec(kind=kd["kind"], gamma=float(kd["gamma"]),
-                      degree=int(kd["degree"]), shift=float(kd["shift"]))
+    # other kernel keys, which files of earlier versions hold, are ignored
+    spec = KernelSpec(kind=kd["kind"], gamma=float(kd["gamma"]))
     params = SvrParams(c=float(doc["c"]), epsilon=float(doc["epsilon"]), kernel=spec)
     m = len(doc["beta"])
     d = int(doc.get("n_features", 0))

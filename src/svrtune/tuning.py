@@ -130,9 +130,6 @@ class SweepSpec:
     c: float | None = None
     epsilon: float | None = None
     gamma: float | None = None
-    kernel_kind: str = "rbf"
-    degree: int = 3
-    shift: float = 0.0
 
     def __post_init__(self) -> None:
         if self.varying not in PARAM_NAMES:
@@ -218,12 +215,11 @@ def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
     if len(test) == 0:
         raise ValueError("test set is empty")
     settings = settings or SolverSettings()
-    geometry = KernelGeometry(train.features, spec.kernel_kind)
+    geometry = KernelGeometry(train.features)
     rows: list[SweepRow] = []
     for value in spec.grid:
         c, epsilon, gamma = spec.triple_at(value)
-        params = SvrParams(c, epsilon, KernelSpec(spec.kernel_kind, gamma=gamma,
-                                                  degree=spec.degree, shift=spec.shift))
+        params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
         try:
             model, train_mse, test_mse = _assess(train, test, params, settings, geometry)
         except Exception as exc:
@@ -258,14 +254,15 @@ class SvrObjective:
     repeated calls only pay for the kernel map and the dual solve.
     """
 
-    def __init__(self, train: SupervisedSet, spec: FitnessSpec, kernel_kind: str,
+    kernel_kind = "rbf"
+
+    def __init__(self, train: SupervisedSet, spec: FitnessSpec,
                  settings: SolverSettings) -> None:
         if len(train) == 0:
             raise ValueError("train set is empty")
         self.features = train.features
         self.targets = train.targets
         self.spec = spec
-        self.kernel_kind = kernel_kind
         self.settings = settings
         n = len(train)
         self._folds: list[tuple[np.ndarray, np.ndarray]] | None
@@ -290,14 +287,14 @@ class SvrObjective:
                 self._folds.append((fit, val))
         rows = np.arange(n)
         self._splits = self._folds or [(rows, rows)]
-        self.geometry = KernelGeometry(self.features, kernel_kind)
+        self.geometry = KernelGeometry(self.features)
 
     def fold_indices(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
         return self._folds
 
     def __call__(self, x) -> float:
         c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
-        params = SvrParams(c, epsilon, KernelSpec(self.kernel_kind, gamma=gamma))
+        params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
         total = 0.0
         for fit, val in self._splits:
             model = train_svr(self.features[fit], self.targets[fit], params, self.settings,
@@ -308,13 +305,14 @@ class SvrObjective:
 
 def make_fitness(train: SupervisedSet, spec: FitnessSpec, kernel_kind: str = "rbf",
                  settings: SolverSettings | None = None, seed: int = 0) -> SvrObjective:
-    """The fitness the optimizers minimize; seed is unused (it draws nothing)."""
-    return SvrObjective(train, spec, kernel_kind, settings or SolverSettings())
+    """The fitness the optimizers minimize; kernel_kind must be "rbf" and
+    seed is unused (it draws nothing)."""
+    KernelSpec(kernel_kind)  # rejects any kind but rbf
+    return SvrObjective(train, spec, settings or SolverSettings())
 
 
 def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
                     c: float, epsilon: float, gamma: float,
-                    kernel_kind: str = "rbf", degree: int = 3, shift: float = 0.0,
                     settings: SolverSettings | None = None, seed: int = 0,
                     method: str = "svm_default") -> tuple[TuneReport, SvrModel]:
     """Train at one triple and report train/test MSE and the SV count.
@@ -324,8 +322,7 @@ def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
     if len(test) == 0:
         raise ValueError("test set is empty")
     settings = settings or SolverSettings()
-    params = SvrParams(c, epsilon, KernelSpec(kernel_kind, gamma=gamma,
-                                              degree=degree, shift=shift))
+    params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
     t0 = time.perf_counter()
     model, train_mse, test_mse = _assess(train, test, params, settings)
     wall = time.perf_counter() - t0
@@ -340,15 +337,14 @@ def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
 
 def tune(train: SupervisedSet, test: SupervisedSet, box: ParamBox,
          config: DeConfig | PsoConfig, fitness: FitnessSpec | None = None,
-         settings: SolverSettings | None = None, workers: int = 1,
-         kernel_kind: str = "rbf") -> tuple[TuneReport, SvrModel]:
+         settings: SolverSettings | None = None, workers: int = 1) -> tuple[TuneReport, SvrModel]:
     """Search the box with DE or PSO, then retrain and report at the best triple.
 
     The test set never enters the fitness; it only appears in the report.
     """
     fitness = fitness or FitnessSpec.train_mse()
     settings = settings or SolverSettings()
-    objective = make_fitness(train, fitness, kernel_kind, settings)
+    objective = make_fitness(train, fitness, settings=settings)
     space = box.to_search_space()
     t0 = time.perf_counter()
     if isinstance(config, DeConfig):
@@ -361,8 +357,7 @@ def tune(train: SupervisedSet, test: SupervisedSet, box: ParamBox,
         raise TypeError("config must be a DeConfig or PsoConfig")
     c, epsilon, gamma = (float(v) for v in result.best_x)
     report, model = evaluate_triple(train, test, c, epsilon, gamma,
-                                    kernel_kind=kernel_kind, settings=settings,
-                                    method=method)
+                                    settings=settings, method=method)
     wall = time.perf_counter() - t0
     report = replace(report, wall_time=wall, optimizer_history=result)
     return report, model

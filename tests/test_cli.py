@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import svrtune
+import svrtune.cli as cli
 from svrtune.cli import main
 from svrtune.dataset import (
     normalizer_from_json,
@@ -31,6 +32,10 @@ def data_csv(tmp_path):
 def shared(data, out, train_n=120, test_n=50):
     return ["--data", str(data), "--out", str(out),
             "--train-n", str(train_n), "--test-n", str(test_n)]
+
+
+TUNE = ["tune", "--method", "de", "--c-range", "0.5:8", "--epsilon-range", "0.02:0.1",
+        "--gamma-range", "0.3:1.5", "--np", "5", "--gmax", "2", "--threads", "1"]
 
 
 class TestIngest:
@@ -163,6 +168,20 @@ class TestTune:
         for name in ("report.json", "model.json", "history.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_failed_serialization_leaves_previous_run(self, data_csv, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = ["tune", *shared(data_csv, out), "--normalize", *TUNE[1:]]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("report.json", "model.json", "history.csv")}
+
+        def fail(model):
+            raise RuntimeError("cannot serialize the model")
+
+        monkeypatch.setattr(cli, "model_to_json", fail)
+        assert main([*args, "--seed", "1"]) == 4
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_preset_and_ranges_conflict_exits_2(self, data_csv, tmp_path):
         code = main(["tune", *shared(data_csv, tmp_path / "o"), "--method", "de",
                      "--preset", "apple-normalized", "--c-range", "1:5",
@@ -227,6 +246,12 @@ class TestTrain:
         model = model_from_json((out / "model.json").read_text())
         assert model.params.c == 500.0
 
+    def test_unwritable_artifact_exits_2_and_leaves_no_temp_file(self, data_csv, tmp_path):
+        out = tmp_path / "run"
+        (out / "model.json").mkdir(parents=True)
+        assert main(["train", *shared(data_csv, out)]) == 2
+        assert [path.name for path in out.iterdir()] == ["model.json"]
+
     def test_invalid_c_exits_2(self, data_csv, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["train", *shared(data_csv, tmp_path / "o"), "--c", "0"])
@@ -282,8 +307,9 @@ class TestPredict:
         assert main(["ingest", *shared(data_csv, out)]) == 0
         assert main(["train", *shared(data_csv, out)]) == 0
         doc = json.loads((out / "model.json").read_text())
+        polynomial = json.dumps({**doc, "kernel": {**doc["kernel"], "kind": "polynomial"}})
         del doc["bias"]
-        for text in ('{"kernel": 1}', json.dumps(doc), "{not json"):
+        for text in ('{"kernel": 1}', json.dumps(doc), "{not json", polynomial):
             (tmp_path / "bad.json").write_text(text)
             assert main(["predict", "--model", str(tmp_path / "bad.json"),
                          "--data", str(out / "supervised.csv"), "--out", str(out)]) == 3
@@ -309,6 +335,40 @@ class TestConfigFile:
     def test_missing_config_file_exits_2(self, data_csv, tmp_path):
         assert main(["train", *shared(data_csv, tmp_path / "o"),
                      "--config", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize("argv, config", [
+    ([*TUNE, "--fitness", "holdout:abc"], {}),
+    ([*TUNE, "--fitness", "kfold:1"], {}),
+    ([*TUNE, "--c-range", "5:1"], {}),
+    ([*TUNE, "--np", "2"], {}),
+    ([*TUNE, "--method", "pso", "--vmax-fraction", "2"], {}),
+    ([*TUNE, "--kkt-tolerance", "0"], {}),
+    ([*TUNE, "--max-passes", "0"], {}),
+    (["sweep", "--vary", "epsilon", "--grid", "0.01:0.2:3", "--fix", "c=-1"], {}),
+    (["train"], {"c": "abc"}),
+    (["train"], {"train_n": "x"}),
+    (["train"], "{bad"),
+    (["train", "--out", "{file}/x"], {}),
+], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
+        "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
+        "out-under-a-file"])
+def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
+    """A flag or config-file value that does not convert or is out of range
+    is a usage error, reported before any model is fitted."""
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "run.json"
+    path.write_text(config if isinstance(config, str)
+                    else json.dumps({"train_n": 120, "test_n": 50, **config}))
+    argv = [arg.replace("{file}", str(tmp_path / "file")) for arg in argv]
+    try:
+        code = main([argv[0], "--data", str(data_csv), "--out", str(tmp_path / "o"),
+                     "--config", str(path), *argv[1:]])
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
 class TestSplitValidation:

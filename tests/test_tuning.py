@@ -204,6 +204,13 @@ class TestMakeFitness:
         x = np.array([3.0, 0.02, 0.7])
         assert objective(x) == objective(x)
 
+    def test_rbf_is_the_only_kernel_kind(self):
+        sset = wave_set(41, seed=5)
+        objective = make_fitness(sset, FitnessSpec.train_mse(), "rbf", SETTINGS, seed=3)
+        assert objective.kernel_kind == "rbf"
+        with pytest.raises(ValueError):
+            make_fitness(sset, FitnessSpec.train_mse(), "linear", SETTINGS)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FitnessSpec.holdout(1.5)
