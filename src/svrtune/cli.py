@@ -246,6 +246,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--data is required")
     if out is None:
         raise UsageError("--out is required")
+    normalize = _get(args, "normalize", False)
+    if not isinstance(normalize, bool):
+        raise UsageError(f"normalize must be true or false, got {normalize!r}")
     max_passes = _get(args, "max_passes", None)
     settings = SolverSettings(
         kkt_tolerance=float(_get(args, "kkt_tolerance", 1e-3)),
@@ -254,7 +257,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         data_path=Path(data),
         out_dir=Path(out),
-        normalize=bool(_get(args, "normalize", False)),
+        normalize=normalize,
         x_low=float(_get(args, "x_low", -1.0)),
         x_up=float(_get(args, "x_up", 1.0)),
         train_n=int(_get(args, "train_n", 500)),
@@ -268,11 +271,18 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _read_text(path: Path, what: str) -> str:
+    """A file's text; a missing or unreadable file is a data error."""
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _load_supervised(cfg: RunConfig) -> SupervisedSet:
-    if not cfg.data_path.exists():
-        raise DataError(f"data file not found: {cfg.data_path}")
-    series = parse_csv(cfg.data_path.read_text(encoding="utf-8"))
-    return build_supervised(series)
+    return build_supervised(parse_csv(_read_text(cfg.data_path, "data")))
 
 
 def _normalize(cfg: RunConfig, sset: SupervisedSet) -> tuple[SupervisedSet, NormalizationMap | None]:
@@ -437,10 +447,9 @@ def cmd_train(cfg: RunConfig, params: SvrParams) -> int:
 
 def _read_json_file(path: Path, what: str, parse):
     """Parse a file this program wrote; a missing or malformed one is a data error."""
-    if not path.exists():
-        raise DataError(f"{what} file not found: {path}")
+    text = _read_text(path, what)
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return parse(text)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed {what} file {path}: {exc!r}") from exc
 
@@ -448,9 +457,7 @@ def _read_json_file(path: Path, what: str, parse):
 def cmd_predict(cfg: RunConfig, options) -> int:
     model_path, normalizer_path = options
     model = _read_json_file(model_path, "model", model_from_json)
-    if not cfg.data_path.exists():
-        raise DataError(f"data file not found: {cfg.data_path}")
-    sset, has_target = supervised_from_csv(cfg.data_path.read_text(encoding="utf-8"))
+    sset, has_target = supervised_from_csv(_read_text(cfg.data_path, "data"))
     predictions = predict_batch(model, sset.features)
     actual = sset.targets if has_target else None
     if normalizer_path is not None:

@@ -202,10 +202,34 @@ def de_crossover(target: np.ndarray, mutant: np.ndarray, cr: float,
     return np.where(take, mutant, target)
 
 
+# the objective of this pool worker process, set once by _install_objective
+_WORKER_OBJECTIVE: Callable | None = None
+
+
+def _install_objective(objective: Callable) -> None:
+    global _WORKER_OBJECTIVE
+    _WORKER_OBJECTIVE = objective
+
+
+def _evaluate(objective: Callable, points: list) -> list:
+    """Values at points, in order: one evaluate_batch call when the
+    objective has one, otherwise one call per point."""
+    batch = getattr(objective, "evaluate_batch", None)
+    if batch is not None:
+        return list(batch(points))
+    return [objective(p) for p in points]
+
+
+def _evaluate_in_worker(points: list) -> list:
+    return _evaluate(_WORKER_OBJECTIVE, points)
+
+
 class _Evaluator:
     """Batch objective evaluation, optionally over a process pool.
 
-    Results are order-preserving, so worker count never changes outputs.
+    Each pool worker receives the objective once, when it starts; a
+    generation is cut into one contiguous sub-batch per worker. Results are
+    order-preserving, so worker count never changes outputs.
     """
 
     def __init__(self, objective: Callable, workers: int = 1) -> None:
@@ -215,15 +239,18 @@ class _Evaluator:
         self._workers = max(1, int(workers))
         if self._workers > 1:
             ctx = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(max_workers=self._workers, mp_context=ctx)
+            self._pool = ProcessPoolExecutor(max_workers=self._workers, mp_context=ctx,
+                                             initializer=_install_objective,
+                                             initargs=(objective,))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         rows = list(points)
         if self._pool is None:
-            values = [self.objective(p) for p in rows]
+            values = _evaluate(self.objective, rows)
         else:
-            chunk = max(1, len(rows) // (2 * self._workers))
-            values = list(self._pool.map(self.objective, rows, chunksize=chunk))
+            cuts = [round(k * len(rows) / self._workers) for k in range(self._workers + 1)]
+            parts = [rows[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+            values = [v for part in self._pool.map(_evaluate_in_worker, parts) for v in part]
         self.count += len(rows)
         out = np.asarray(values, dtype=np.float64)
         if not np.isfinite(out).all():

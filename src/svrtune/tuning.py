@@ -27,6 +27,7 @@ from .svr import (
     mse,
     predict_batch,
     train_svr,
+    train_svr_batch,
 )
 
 __all__ = [
@@ -252,6 +253,8 @@ class SvrObjective:
     The kernel geometry of the training rows is built once; every call fits
     on it (train_mse) or on its index sub-blocks (holdout and k-fold), so
     repeated calls only pay for the kernel map and the dual solve.
+    evaluate_batch scores a whole population with one lockstep solve per
+    split; calling the objective on one point is evaluate_batch([x])[0].
     """
 
     kernel_kind = "rbf"
@@ -293,14 +296,22 @@ class SvrObjective:
         return self._folds
 
     def __call__(self, x) -> float:
-        c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
-        params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
-        total = 0.0
+        return self.evaluate_batch([x])[0]
+
+    def evaluate_batch(self, points) -> list[float]:
+        """The fitness at each point, in order; one batched fit per split
+        serves them all, equal bit for bit to fitting each point alone."""
+        params = []
+        for x in points:
+            c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
+            params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
+        totals = [0.0] * len(params)
         for fit, val in self._splits:
-            model = train_svr(self.features[fit], self.targets[fit], params, self.settings,
-                              geometry=self.geometry.subset(fit))
-            total += mse(self.targets[val], predict_batch(model, self.features[val]))
-        return total / len(self._splits)
+            models = train_svr_batch(self.features[fit], self.targets[fit], params, self.settings,
+                                     geometry=self.geometry.subset(fit))
+            for k, model in enumerate(models):
+                totals[k] += mse(self.targets[val], predict_batch(model, self.features[val]))
+        return [total / len(self._splits) for total in totals]
 
 
 def make_fitness(train: SupervisedSet, spec: FitnessSpec, kernel_kind: str = "rbf",

@@ -316,6 +316,27 @@ class TestPredict:
             assert "malformed model file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "train", "predict", "predict-model"])
+def test_data_or_model_path_that_is_a_directory_exits_3(data_csv, tmp_path, capsys, command):
+    """A --data or --model path that exists but cannot be read as a file is a
+    data error, reported without a traceback."""
+    out = tmp_path / "run"
+    assert main(["train", *shared(data_csv, out)]) == 0
+    capsys.readouterr()
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    model = out / "model.json"
+    if command == "predict-model":
+        command, model, data = "predict", folder, data_csv
+    else:
+        data = folder
+    argv = [command, *shared(data, tmp_path / "o")]
+    if command == "predict":
+        argv += ["--model", str(model)]
+    assert main(argv) == 3
+    assert "data error: cannot read" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, data_csv, tmp_path):
         cfg = tmp_path / "run.json"
@@ -350,9 +371,10 @@ class TestConfigFile:
     (["train"], {"train_n": "x"}),
     (["train"], "{bad"),
     (["train", "--out", "{file}/x"], {}),
+    (["ingest"], {"normalize": "false"}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
-        "out-under-a-file"])
+        "out-under-a-file", "config-normalize-string"])
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range
     is a usage error, reported before any model is fitted."""

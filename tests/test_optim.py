@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from svrtune.benchmarks import rosenbrock, sphere
+from svrtune.dataset import SupervisedSet
 from svrtune.optim import (
     DeConfig,
     ObjectiveError,
@@ -17,6 +18,8 @@ from svrtune.optim import (
     init_population,
     pso_optimize,
 )
+from svrtune.svr import SolverSettings
+from svrtune.tuning import FitnessSpec, ParamBox, make_fitness
 
 BOX2 = SearchSpace((("a", -5.0, 5.0), ("b", -5.0, 5.0)))
 
@@ -276,6 +279,49 @@ class TestPsoOptimize:
 
         with pytest.raises(ObjectiveError):
             pso_optimize(bad, BOX2, PsoConfig(swarm=5, iters=5, seed=6))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method", ["de", "pso"])
+def test_batched_and_per_point_objectives_agree(method, workers):
+    """An objective with evaluate_batch is scored once per generation (once
+    per worker and sub-batch in the pool, here two of 7, each solved in
+    lockstep); the result is the same as calling it point by point through a
+    plain function."""
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 3.0, 41)
+    feats = np.column_stack([np.sin(t + k) + 0.05 * rng.standard_normal(41) for k in range(5)])
+    train = SupervisedSet(feats[:-1], feats[1:, 0])
+    objective = make_fitness(train, FitnessSpec.holdout(0.25), settings=SolverSettings(max_passes=3))
+    space = ParamBox((1.0, 100.0), (0.01, 0.3), (0.2, 4.0)).to_search_space()
+    if method == "de":
+        optimize, config = de_optimize, DeConfig(pop_size=14, g_max=3, f=0.9, cr=0.7, seed=2)
+    else:
+        optimize, config = pso_optimize, PsoConfig(swarm=14, iters=3, seed=2)
+    batched = optimize(objective, space, config, workers=workers)
+    per_point = optimize(lambda x: objective(x), space, config, workers=workers)
+    assert np.array_equal(batched.best_x, per_point.best_x)
+    assert batched.best_f == per_point.best_f
+    assert batched.history == per_point.history
+    assert batched.evaluations == per_point.evaluations == 14 * 4
+
+
+def test_serial_evaluator_scores_each_generation_in_one_batch():
+    class Recording:
+        def __init__(self):
+            self.batches = []
+
+        def __call__(self, x):
+            raise AssertionError("a batched objective is not called point by point")
+
+        def evaluate_batch(self, points):
+            self.batches.append(len(points))
+            return [sphere(x) for x in points]
+
+    objective = Recording()
+    result = de_optimize(objective, BOX2, DeConfig(pop_size=5, g_max=3, seed=0))
+    assert objective.batches == [5] * 4
+    assert result.history == de_optimize(sphere, BOX2, DeConfig(pop_size=5, g_max=3, seed=0)).history
 
 
 def test_history_csv_format():

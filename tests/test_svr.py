@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import svrtune.svr as svr_mod
 from svrtune.svr import (
+    KernelGeometry,
     KernelSpec,
     SolverSettings,
     SvrModel,
@@ -23,6 +24,7 @@ from svrtune.svr import (
     predict,
     predict_batch,
     train_svr,
+    train_svr_batch,
 )
 from svrtune.synth import noisy_sine
 
@@ -168,6 +170,94 @@ class TestTrainSvr:
         lazy = train_svr(X, y, params, SolverSettings(max_passes=500))
         assert models_equal(lazy, dense)
         np.testing.assert_array_equal(predict_batch(lazy, X), predict_batch(dense, X))
+
+
+# (c, epsilon, gamma) on noisy_sine(60, seed=3) at tolerance 1e-9 and 20
+# passes (1,200 steps), with how the solve ends on all 60 rows
+STOPS = [
+    (5.0, 0.5, 1.0),  # stuck at step 38
+    (100.0, 0.01, 0.05),  # reaches the step cap
+    (0.5, 0.01, 1.0),  # converges at step 676
+    (0.5, 0.1, 0.05),  # stuck at step 491
+    (0.5, 0.5, 20.0),  # converges at step 49
+]
+
+
+@pytest.mark.parametrize("lockstep_min", [1, 3], ids=["lockstep", "handoff"])
+@pytest.mark.parametrize("count", [1, 2, len(STOPS)])
+@pytest.mark.parametrize("rows", [None, np.arange(5, 55), np.r_[0:20, 30:60]],
+                         ids=["all", "contiguous", "ix"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_batch_equals_scalar(monkeypatch, lazy, rows, count, lockstep_min):
+    """Lockstep fits are train_svr's models bit for bit, whichever step each
+    member stops at, however the kernel rows are reached, and whether the
+    lockstep loop runs to the end or hands its last fits to the scalar loop."""
+    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", lockstep_min)
+    if lazy:
+        monkeypatch.setattr(svr_mod, "KERNEL_CACHE_LIMIT", 8)
+    X, y = noisy_sine(60, seed=3)
+    geometry = KernelGeometry(X)
+    if rows is not None:
+        X, y, geometry = X[rows], y[rows], geometry.subset(rows)
+    assert (geometry.base is None) == lazy
+    settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
+    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in STOPS[:count]]
+    batch = train_svr_batch(X, y, params, settings, geometry=geometry)
+    scalar = [train_svr(X, y, p, settings, geometry=geometry) for p in params]
+    assert len(batch) == count
+    for a, b in zip(batch, scalar):
+        assert models_equal(a, b)
+        assert a.params == b.params
+    if rows is None and count == len(STOPS):
+        ends = {"converged" if m.diagnostics.max_kkt_violation <= 1e-9
+                else "capped" if m.diagnostics.iterations == 1200 else "stuck" for m in scalar}
+        assert ends == {"converged", "capped", "stuck"}
+
+
+@pytest.mark.parametrize("seed, triples", [
+    (28, [(5.0, 0.1, 20.0), (0.5, 0.01, 1.0)]),  # a step lands 8.9e-16 below -C
+    (14, [(3.0, 0.0, 20.0), (0.5, 0.01, 1.0)]),  # a step lands 4.4e-16 below C
+    # C below 5e-11: the snap margin exceeds 2C, so both snap windows
+    # overlap and the upper one must win, as in the scalar if/elif
+    (3, [(1e-11, 0.01, 1.0), (4e-11, 0.01, 1.0), (0.5, 0.01, 1.0)]),
+], ids=["lower", "upper", "tiny-c"])
+def test_batch_snaps_to_the_box_as_scalar(monkeypatch, seed, triples):
+    """Steps that land within the snap margin of a box edge are snapped onto
+    it; the lockstep loop must snap exactly as the scalar loop does."""
+    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 1)
+    X, y = noisy_sine(60, seed=seed)
+    settings = SolverSettings(max_passes=20)
+    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in triples]
+    batch = train_svr_batch(X, y, params, settings)
+    for model, p in zip(batch, params):
+        assert models_equal(model, train_svr(X, y, p, settings))
+
+
+def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
+    """Once fewer than LOCKSTEP_MIN fits are unfinished, each goes on alone
+    in the scalar loop from where it stands; a batch of fewer is solved
+    alone from the start."""
+    X, y = noisy_sine(60, seed=3)
+    settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
+    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in STOPS]
+    scalar = [train_svr(X, y, p, settings) for p in params]
+    starts = []
+    solve_alone = svr_mod._solve_dual
+
+    def recording(kernel, y, c, epsilon, tol, max_steps, start=None):
+        starts.append((c, 0 if start is None else start[4]))
+        return solve_alone(kernel, y, c, epsilon, tol, max_steps, start)
+
+    monkeypatch.setattr(svr_mod, "_solve_dual", recording)
+    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 3)
+    assert train_svr_batch(X, y, [], settings) == []
+    assert all(map(models_equal, train_svr_batch(X, y, params[:2], settings), scalar))
+    assert starts == [(5.0, 0), (100.0, 0)]
+    starts.clear()
+    assert all(map(models_equal, train_svr_batch(X, y, params, settings), scalar))
+    # the third fit to stop gets stuck in step 492; the capped and the
+    # converging one go on alone from there
+    assert starts == [(100.0, 492), (0.5, 492)]
 
 
 class TestPredict:

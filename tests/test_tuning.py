@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import svrtune.svr as svr_mod
 from svrtune.dataset import SplitSpec, SupervisedSet, apply_normalizer, fit_normalizer, invert_normalizer, split
 from svrtune.optim import DeConfig, PsoConfig
 from svrtune.svr import DEFAULT_PARAMS, KernelSpec, SolverSettings, SvrParams, mse, predict_batch, train_svr
@@ -164,7 +165,7 @@ class TestMakeFitness:
         objective = make_fitness(sset, FitnessSpec.train_mse(), settings=SETTINGS)
         assert objective(np.array([2.0, 0.5, 0.5])) == 0.0
 
-    def test_train_mse_matches_composition_at_default_triple(self):
+    def test_train_mse_matches_composition_at_default_triple(self, monkeypatch):
         train, _ = wave_split(seed=4)
         model = train_svr(train.features, train.targets, DEFAULT_PARAMS, SETTINGS)
         objective = make_fitness(train, FitnessSpec.train_mse(), settings=SETTINGS)
@@ -180,6 +181,13 @@ class TestMakeFitness:
                 model = train_svr(train.features[fit], train.targets[fit], DEFAULT_PARAMS, SETTINGS)
                 total += mse(train.targets[val], predict_batch(model, train.features[val]))
             assert objective(np.array([1.0, 0.1, 0.2])) == total / len(objective.fold_indices())
+        # a population scored in one lockstep batch equals its points scored
+        # one by one
+        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 2)
+        points = np.array([[1.0, 0.1, 0.2], [40.0, 0.01, 3.0], [300.0, 0.2, 0.5]])
+        for spec in (FitnessSpec.train_mse(), FitnessSpec.holdout(0.25), FitnessSpec.kfold(4)):
+            objective = make_fitness(train, spec, settings=SolverSettings(max_passes=3))
+            assert objective.evaluate_batch(points) == [objective(x) for x in points]
 
     def test_kfold_blocks_are_contiguous(self):
         feats = np.random.default_rng(1).normal(size=(500, 5))
