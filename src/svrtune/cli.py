@@ -46,6 +46,7 @@ from .svr import (
     predict_batch,
 )
 from .tuning import (
+    PARAM_NAMES,
     PRESET_BOXES,
     FitnessSpec,
     ParamBox,
@@ -136,7 +137,7 @@ def _fix_pair(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError("--fix expects name=value")
     name, _, raw = text.partition("=")
     name = name.strip().lower()
-    if name not in ("c", "epsilon", "gamma"):
+    if name not in PARAM_NAMES:
         raise argparse.ArgumentTypeError("--fix name must be c, epsilon or gamma")
     return name, (_nonneg_float if name == "epsilon" else _positive_float)(raw)
 
@@ -173,15 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="one-at-a-time parameter sweep to CSV")
     _add_shared(p)
-    p.add_argument("--vary", choices=("c", "epsilon", "gamma"), required=True)
-    p.add_argument("--grid", type=_grid, required=True, metavar="LO:HI:N")
+    p.add_argument("--vary", choices=PARAM_NAMES, default=None)
+    p.add_argument("--grid", type=_grid, default=None, metavar="LO:HI:N")
     p.add_argument("--fix", type=_fix_pair, action="append", default=[],
                    metavar="NAME=VALUE", help="fixed value for a non-varying parameter")
     p.set_defaults(func=cmd_sweep, options=_sweep_options)
 
     p = sub.add_parser("tune", help="search (C, epsilon, gamma) with DE or PSO")
     _add_shared(p)
-    p.add_argument("--method", choices=("de", "pso"), required=True)
+    p.add_argument("--method", choices=("de", "pso"), default=None)
     p.add_argument("--preset", choices=sorted(PRESET_BOXES), default=None)
     p.add_argument("--c-range", type=_range_pair, default=None, metavar="LO:HI")
     p.add_argument("--epsilon-range", type=_range_pair, default=None, metavar="LO:HI")
@@ -335,14 +336,26 @@ def cmd_ingest(cfg: RunConfig, _options: None) -> int:
     return EXIT_OK
 
 
+def _required(args: argparse.Namespace, key: str, choices=None):
+    """A value with no default, from the flags or the config file."""
+    value = _get(args, key, None)
+    if value is None:
+        raise UsageError(f"--{key} is required")
+    if choices is not None and value not in choices:
+        raise UsageError(f"--{key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _sweep_options(args: argparse.Namespace, cfg: RunConfig):
     """(varying parameter, grid values, fixed values given by --fix)."""
+    vary = _required(args, "vary", PARAM_NAMES)
+    grid = _required(args, "grid")
+    lo, hi, n = grid if isinstance(grid, tuple) else _grid(str(grid))  # a file holds the text
     fixed = dict(args.fix)
-    if args.vary in fixed:
-        raise UsageError(f"--fix {args.vary} names the varying parameter")
-    lo, hi, n = args.grid
-    (_nonneg_float if args.vary == "epsilon" else _positive_float)(lo)  # raises if out of range
-    return args.vary, tuple(float(v) for v in np.linspace(lo, hi, n)), fixed
+    if vary in fixed:
+        raise UsageError(f"--fix {vary} names the varying parameter")
+    (_nonneg_float if vary == "epsilon" else _positive_float)(lo)  # raises if out of range
+    return vary, tuple(float(v) for v in np.linspace(lo, hi, n)), fixed
 
 
 def cmd_sweep(cfg: RunConfig, options) -> int:
@@ -385,7 +398,7 @@ def _tune_options(args: argparse.Namespace, cfg: RunConfig):
         box = ParamBox(tuple(ranges[0]), tuple(ranges[1]), tuple(ranges[2]))
     else:
         raise UsageError("tune needs --preset or all of --c-range/--epsilon-range/--gamma-range")
-    if args.method == "de":
+    if _required(args, "method", ("de", "pso")) == "de":
         config = DeConfig(
             pop_size=int(_get(args, "np_size", 30)),
             f=float(_get(args, "f", 0.5)),

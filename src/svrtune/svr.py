@@ -11,12 +11,14 @@ ascent gain, pairs it with the partner of largest second-order gain estimate,
 and solves the two-coordinate subproblem exactly (the piecewise-quadratic
 line search handles the |b| kink). Convergence is measured by the gap of the
 feasible bias window; the reported bias is that window's midpoint.
-train_svr runs this loop for one parameter triple. train_svr_batch runs it
-for many triples on one training set in lockstep, on (P, n) arrays, with
-the same arithmetic per problem, so every model equals train_svr's bit for
-bit. A lockstep step costs several scalar steps, so the lockstep loop runs
-only while at least LOCKSTEP_MIN problems are unfinished; the last few, or
-a batch of fewer, go on alone in the scalar loop from where they stand.
+train_svr_batch is the one fit entry: it runs this loop for many triples on
+one training set in lockstep, on (P, n) arrays, with the scalar loop's
+arithmetic per problem, so every model is the same bit for bit as a fit
+alone. A lockstep step costs several scalar steps, so the lockstep loop
+runs only while at least LOCKSTEP_MIN problems are unfinished; the last
+few, or a batch of fewer, go on alone in the scalar loop from where they
+stand. train_svr is its one-triple case, solved in the scalar loop from
+beta = 0.
 
 The kernel is the RBF kernel k(x, z) = exp(-||x - z||^2 / gamma): gamma
 denotes the full denominator of the exponent, i.e. gamma = 2*sigma^2. Larger
@@ -521,9 +523,30 @@ def _solve_dual_batch(geometry: KernelGeometry, y: np.ndarray, c: np.ndarray,
     return out_beta, out_bias, out_steps, out_violation
 
 
-def _fit_inputs(features, targets, settings: SolverSettings | None,
-                geometry: KernelGeometry | None):
-    """Checked (X, y, settings, geometry, step budget) of one training set."""
+def train_svr(features, targets, params: SvrParams,
+              settings: SolverSettings | None = None, *,
+              geometry: KernelGeometry | None = None) -> SvrModel:
+    """Fit an epsilon-SVR on (features, targets): train_svr_batch at one triple.
+
+    Fully deterministic: the pair-selection rule is greedy. geometry is the
+    KernelGeometry of these features, shared by many fits on one training
+    set (often a subset of a larger one); without it one is built here. The
+    model is the same bit for bit either way.
+    """
+    return train_svr_batch(features, targets, [params], settings, geometry=geometry)[0]
+
+
+def train_svr_batch(features, targets, params_seq: Sequence[SvrParams],
+                    settings: SolverSettings | None = None, *,
+                    geometry: KernelGeometry | None = None) -> list[SvrModel]:
+    """An epsilon-SVR fit at each of params_seq on one training set; model k
+    is the same bit for bit as train_svr at params_seq[k].
+
+    The fits advance in lockstep while at least LOCKSTEP_MIN of them are
+    unfinished, which pays off for a population or a sweep grid; the rest,
+    or a batch of fewer, go on one by one in the scalar loop.
+    """
+    params_seq = list(params_seq)
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2:
@@ -541,61 +564,21 @@ def _fit_inputs(features, targets, settings: SolverSettings | None,
         raise ValueError("geometry was built from other features")
     n = y.shape[0]
     max_passes = settings.max_passes if settings.max_passes is not None else 10 * n
-    return X, y, settings, geometry, max_passes * n
-
-
-def _model(X: np.ndarray, params: SvrParams, beta: np.ndarray, bias: float,
-           steps: int, violation: float) -> SvrModel:
-    sv_mask = np.abs(beta) > SV_THRESHOLD
-    return SvrModel(
-        support_inputs=X[sv_mask].copy(),
-        beta=beta[sv_mask].copy(),
-        bias=bias,
-        params=params,
-        n_sv=int(sv_mask.sum()),
-        diagnostics=TrainingDiagnostics(iterations=steps, max_kkt_violation=violation),
-    )
-
-
-def train_svr(features, targets, params: SvrParams,
-              settings: SolverSettings | None = None, *,
-              geometry: KernelGeometry | None = None) -> SvrModel:
-    """Fit an epsilon-SVR on (features, targets).
-
-    Fully deterministic: the pair-selection rule is greedy. geometry is the
-    KernelGeometry of these features, shared by many fits on one training
-    set (often a subset of a larger one); without it one is built here. The
-    model is the same bit for bit either way.
-    """
-    X, y, settings, geometry, max_steps = _fit_inputs(features, targets, settings, geometry)
-    beta, bias, steps, violation = _solve_dual(
-        geometry.kernel(params.kernel), y, params.c, params.epsilon,
-        settings.kkt_tolerance, max_steps
-    )
-    return _model(X, params, beta, bias, steps, violation)
-
-
-def train_svr_batch(features, targets, params_seq: Sequence[SvrParams],
-                    settings: SolverSettings | None = None, *,
-                    geometry: KernelGeometry | None = None) -> list[SvrModel]:
-    """train_svr at each of params_seq on one training set; model k is the
-    same bit for bit as train_svr at params_seq[k].
-
-    The fits advance in lockstep while at least LOCKSTEP_MIN of them are
-    unfinished, which pays off for a population; the rest, or a batch of
-    fewer, go on one by one in the scalar loop.
-    """
-    params_seq = list(params_seq)
-    X, y, settings, geometry, max_steps = _fit_inputs(features, targets, settings, geometry)
     beta, bias, steps, violation = _solve_dual_batch(
         geometry, y,
         np.array([p.c for p in params_seq], dtype=np.float64),
         np.array([p.epsilon for p in params_seq], dtype=np.float64),
         np.array([p.kernel.gamma for p in params_seq], dtype=np.float64),
-        settings.kkt_tolerance, max_steps,
+        settings.kkt_tolerance, max_passes * n,
     )
-    return [_model(X, p, beta[k], float(bias[k]), int(steps[k]), max(float(violation[k]), 0.0))
-            for k, p in enumerate(params_seq)]
+    models = []
+    for k, p in enumerate(params_seq):
+        sv = np.abs(beta[k]) > SV_THRESHOLD
+        models.append(SvrModel(
+            support_inputs=X[sv], beta=beta[k][sv], bias=float(bias[k]), params=p,
+            n_sv=int(sv.sum()),
+            diagnostics=TrainingDiagnostics(int(steps[k]), max(float(violation[k]), 0.0))))
+    return models
 
 
 def predict_batch(model: SvrModel, features) -> np.ndarray:

@@ -19,6 +19,7 @@ from . import jsonio
 from .dataset import NormalizationMap, SupervisedSet, invert_normalizer
 from .optim import DeConfig, OptResult, PsoConfig, SearchSpace, de_optimize, pso_optimize
 from .svr import (
+    SV_THRESHOLD,
     KernelGeometry,
     KernelSpec,
     SolverSettings,
@@ -70,6 +71,10 @@ class ParamBox:
         lo, hi = self.epsilon_range
         if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo >= 0):
             raise ValueError("epsilon_range must satisfy hi > lo >= 0")
+        if self.c_range[0] <= SV_THRESHOLD:
+            # every |beta| <= C, so no model in the box keeps a support vector
+            raise ValueError(f"c_range must start above {SV_THRESHOLD:g}: below it a model "
+                             "keeps no support vector and predicts a constant")
 
     def to_search_space(self) -> SearchSpace:
         return SearchSpace((
@@ -198,36 +203,27 @@ def _fingerprint(train: SupervisedSet, test: SupervisedSet) -> str:
     return h.hexdigest()[:16]
 
 
-def _assess(train: SupervisedSet, test: SupervisedSet, params: SvrParams,
-            settings: SolverSettings, geometry: KernelGeometry | None = None):
-    """Train and measure one parameter triple."""
-    model = train_svr(train.features, train.targets, params, settings, geometry=geometry)
-    train_mse = mse(train.targets, predict_batch(model, train.features))
-    test_mse = mse(test.targets, predict_batch(model, test.features))
-    return model, train_mse, test_mse
-
-
 def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
           settings: SolverSettings | None = None, seed: int = 0) -> list[SweepRow]:
-    """Train one model per grid value; rows come back in grid order.
-    seed is unused (the solver is deterministic)."""
+    """Train one model per grid value, all in one batched fit; rows come back
+    in grid order. seed is unused (the solver is deterministic)."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if len(test) == 0:
         raise ValueError("test set is empty")
-    settings = settings or SolverSettings()
-    geometry = KernelGeometry(train.features)
-    rows: list[SweepRow] = []
+    params = []
     for value in spec.grid:
         c, epsilon, gamma = spec.triple_at(value)
-        params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
         try:
-            model, train_mse, test_mse = _assess(train, test, params, settings, geometry)
-        except Exception as exc:
+            params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
+        except ValueError as exc:
             raise RuntimeError(f"solver failed at grid value {value}") from exc
-        rows.append(SweepRow(value=float(value), train_mse=train_mse,
-                             test_mse=test_mse, n_sv=model.n_sv))
-    return rows
+    models = train_svr_batch(train.features, train.targets, params, settings)
+    return [SweepRow(value=float(value),
+                     train_mse=mse(train.targets, predict_batch(model, train.features)),
+                     test_mse=mse(test.targets, predict_batch(model, test.features)),
+                     n_sv=model.n_sv)
+            for value, model in zip(spec.grid, models)]
 
 
 def select_range_by_sv_fraction(rows: Sequence[SweepRow], train_size: int,
@@ -332,10 +328,11 @@ def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
         raise ValueError("train set is empty")
     if len(test) == 0:
         raise ValueError("test set is empty")
-    settings = settings or SolverSettings()
     params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
     t0 = time.perf_counter()
-    model, train_mse, test_mse = _assess(train, test, params, settings)
+    model = train_svr(train.features, train.targets, params, settings)
+    train_mse = mse(train.targets, predict_batch(model, train.features))
+    test_mse = mse(test.targets, predict_batch(model, test.features))
     wall = time.perf_counter() - t0
     report = TuneReport(
         method=method, c=float(c), epsilon=float(epsilon), gamma=float(gamma),
@@ -354,7 +351,6 @@ def tune(train: SupervisedSet, test: SupervisedSet, box: ParamBox,
     The test set never enters the fitness; it only appears in the report.
     """
     fitness = fitness or FitnessSpec.train_mse()
-    settings = settings or SolverSettings()
     objective = make_fitness(train, fitness, settings=settings)
     space = box.to_search_space()
     t0 = time.perf_counter()

@@ -36,6 +36,7 @@ def shared(data, out, train_n=120, test_n=50):
 
 TUNE = ["tune", "--method", "de", "--c-range", "0.5:8", "--epsilon-range", "0.02:0.1",
         "--gamma-range", "0.3:1.5", "--np", "5", "--gmax", "2", "--threads", "1"]
+TUNE_WITHOUT_METHOD = [TUNE[0], *TUNE[3:]]
 
 
 class TestIngest:
@@ -353,6 +354,23 @@ class TestConfigFile:
         model = model_from_json((out / "model.json").read_text())
         assert model.params.c == 3.0
 
+    def test_config_supplies_sweep_vary_and_grid(self, data_csv, tmp_path):
+        flags = tmp_path / "flags"
+        assert main(["sweep", *shared(data_csv, flags), "--vary", "epsilon",
+                     "--grid", "0.01:0.2:3"]) == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"vary": "epsilon", "grid": "0.01:0.2:3"}))
+        out = tmp_path / "file"
+        assert main(["sweep", *shared(data_csv, out), "--config", str(cfg)]) == 0
+        assert (out / "sweep.csv").read_bytes() == (flags / "sweep.csv").read_bytes()
+
+    def test_config_supplies_tune_method(self, data_csv, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"method": "pso", "swarm": 5, "iters": 1}))
+        out = tmp_path / "run"
+        assert main([*TUNE_WITHOUT_METHOD, *shared(data_csv, out), "--config", str(cfg)]) == 0
+        assert json.loads((out / "report.json").read_text())["method"] == "pso_svm"
+
     def test_missing_config_file_exits_2(self, data_csv, tmp_path):
         assert main(["train", *shared(data_csv, tmp_path / "o"),
                      "--config", str(tmp_path / "none.json")]) == 2
@@ -372,9 +390,18 @@ class TestConfigFile:
     (["train"], "{bad"),
     (["train", "--out", "{file}/x"], {}),
     (["ingest"], {"normalize": "false"}),
+    ([*TUNE, "--c-range", "1e-11:4e-11"], {}),
+    (["sweep", "--grid", "0.01:0.2:3"], {}),
+    (["sweep", "--vary", "epsilon"], {}),
+    (TUNE_WITHOUT_METHOD, {}),
+    (["sweep", "--grid", "0.01:0.2:3"], {"vary": "delta"}),
+    (["sweep", "--vary", "epsilon"], {"grid": [0.01, 0.2, 3]}),
+    (TUNE_WITHOUT_METHOD, {"method": "ga"}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
-        "out-under-a-file", "config-normalize-string"])
+        "out-under-a-file", "config-normalize-string", "c-range-below-sv-threshold",
+        "sweep-without-vary", "sweep-without-grid", "tune-without-method", "config-vary-delta",
+        "config-grid-list", "config-method-ga"])
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range
     is a usage error, reported before any model is fitted."""

@@ -172,6 +172,23 @@ class TestTrainSvr:
         np.testing.assert_array_equal(predict_batch(lazy, X), predict_batch(dense, X))
 
 
+def scalar_fits(monkeypatch, X, y, params, settings, geometry=None):
+    """train_svr at each of params, checked to run the scalar loop alone from
+    beta = 0: the reference the lockstep loop must equal."""
+    starts = []
+    solve_alone = svr_mod._solve_dual
+
+    def recording(kernel, y, c, epsilon, tol, max_steps, start=None):
+        starts.append(start[4])
+        return solve_alone(kernel, y, c, epsilon, tol, max_steps, start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(svr_mod, "_solve_dual", recording)
+        models = [train_svr(X, y, p, settings, geometry=geometry) for p in params]
+    assert starts == [0] * len(params)
+    return models
+
+
 # (c, epsilon, gamma) on noisy_sine(60, seed=3) at tolerance 1e-9 and 20
 # passes (1,200 steps), with how the solve ends on all 60 rows
 STOPS = [
@@ -192,7 +209,6 @@ def test_batch_equals_scalar(monkeypatch, lazy, rows, count, lockstep_min):
     """Lockstep fits are train_svr's models bit for bit, whichever step each
     member stops at, however the kernel rows are reached, and whether the
     lockstep loop runs to the end or hands its last fits to the scalar loop."""
-    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", lockstep_min)
     if lazy:
         monkeypatch.setattr(svr_mod, "KERNEL_CACHE_LIMIT", 8)
     X, y = noisy_sine(60, seed=3)
@@ -202,8 +218,9 @@ def test_batch_equals_scalar(monkeypatch, lazy, rows, count, lockstep_min):
     assert (geometry.base is None) == lazy
     settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
     params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in STOPS[:count]]
+    scalar = scalar_fits(monkeypatch, X, y, params, settings, geometry)
+    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", lockstep_min)
     batch = train_svr_batch(X, y, params, settings, geometry=geometry)
-    scalar = [train_svr(X, y, p, settings, geometry=geometry) for p in params]
     assert len(batch) == count
     for a, b in zip(batch, scalar):
         assert models_equal(a, b)
@@ -224,13 +241,12 @@ def test_batch_equals_scalar(monkeypatch, lazy, rows, count, lockstep_min):
 def test_batch_snaps_to_the_box_as_scalar(monkeypatch, seed, triples):
     """Steps that land within the snap margin of a box edge are snapped onto
     it; the lockstep loop must snap exactly as the scalar loop does."""
-    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 1)
     X, y = noisy_sine(60, seed=seed)
     settings = SolverSettings(max_passes=20)
     params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in triples]
-    batch = train_svr_batch(X, y, params, settings)
-    for model, p in zip(batch, params):
-        assert models_equal(model, train_svr(X, y, p, settings))
+    scalar = scalar_fits(monkeypatch, X, y, params, settings)
+    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 1)
+    assert all(map(models_equal, train_svr_batch(X, y, params, settings), scalar))
 
 
 def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
@@ -363,3 +379,16 @@ def test_svr_is_blas_free_and_tuning_uses_its_public_names():
                 if isinstance(node, ast.ImportFrom) and node.module in ("svr", "svrtune.svr")
                 for alias in node.names]
     assert imported and not [name for name in imported if name.startswith("_")], imported
+
+
+def test_one_fit_path():
+    """train_svr_batch is the one way into the solver: train_svr makes no
+    solver call of its own, and only _solve_dual_batch hands off to _solve_dual."""
+    tree = ast.parse((Path(svr_mod.__file__).parent / "svr.py").read_text(encoding="utf-8"))
+    calls = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            calls[fn.name] = {node.func.id for node in ast.walk(fn)
+                              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert [name for name, called in calls.items() if "_solve_dual" in called] == ["_solve_dual_batch"]
+    assert calls["train_svr"] == {"train_svr_batch"}

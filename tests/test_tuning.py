@@ -59,6 +59,8 @@ class TestParamBox:
             ParamBox((0.0, 10.0), (0.01, 0.1), (0.1, 1.0))
         with pytest.raises(ValueError):
             ParamBox((1.0, 10.0), (0.1, 0.01), (0.1, 1.0))
+        with pytest.raises(ValueError, match="support vector"):
+            ParamBox((svr_mod.SV_THRESHOLD, 10.0), (0.01, 0.1), (0.1, 1.0))
         ParamBox((1.0, 10.0), (0.0, 0.1), (0.1, 1.0))  # epsilon lo may be 0
 
     def test_search_space_names(self):
@@ -88,15 +90,39 @@ class TestHeuristics:
 
 
 class TestSweep:
-    def test_single_point_equals_direct_composition(self):
+    # the 8-point grid's fits stop at steps 29 to 199; the fifth to stop
+    # retires at step 108, and the last four go on alone from step 109
+    @pytest.mark.parametrize("grid", [(0.05,), tuple(np.linspace(0.01, 0.3, 8))],
+                             ids=["1-point", "8-point"])
+    def test_single_point_equals_direct_composition(self, monkeypatch, grid):
+        """The grid is one batched fit; each row is a per-point train_svr plus
+        mse bit for bit, also where lockstep hands fits to the scalar loop."""
         train, test = wave_split()
-        spec = SweepSpec(varying="epsilon", grid=(0.05,), c=2.0, gamma=0.5)
-        row = sweep(train, test, spec, SETTINGS, seed=0)[0]
-        params = SvrParams(2.0, 0.05, KernelSpec("rbf", gamma=0.5))
-        model = train_svr(train.features, train.targets, params, SETTINGS)
-        assert row.train_mse == mse(train.targets, predict_batch(model, train.features))
-        assert row.test_mse == mse(test.targets, predict_batch(model, test.features))
-        assert row.n_sv == model.n_sv
+        starts = []
+        solve_alone = svr_mod._solve_dual
+
+        def recording(kernel, y, c, epsilon, tol, max_steps, start=None):
+            starts.append(start[4])
+            return solve_alone(kernel, y, c, epsilon, tol, max_steps, start)
+
+        monkeypatch.setattr(svr_mod, "_solve_dual", recording)
+        spec = SweepSpec(varying="epsilon", grid=grid, c=2.0, gamma=0.5)
+        rows = sweep(train, test, spec, SETTINGS, seed=0)
+        monkeypatch.undo()
+        assert starts == ([0] if len(grid) == 1 else [109] * 4)
+        assert [row.value for row in rows] == list(grid)
+        for row, epsilon in zip(rows, grid):
+            params = SvrParams(2.0, epsilon, KernelSpec("rbf", gamma=0.5))
+            model = train_svr(train.features, train.targets, params, SETTINGS)
+            assert row.train_mse == mse(train.targets, predict_batch(model, train.features))
+            assert row.test_mse == mse(test.targets, predict_batch(model, test.features))
+            assert row.n_sv == model.n_sv
+
+    def test_grid_value_the_params_reject_names_it(self):
+        train, test = wave_split()
+        spec = SweepSpec("c", (0.0, 1.0), epsilon=0.05, gamma=0.5)
+        with pytest.raises(RuntimeError, match="grid value 0.0"):
+            sweep(train, test, spec, SETTINGS)
 
     def test_duplicate_grid_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
