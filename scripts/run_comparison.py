@@ -48,7 +48,8 @@ def main() -> int:
     parser.add_argument("--gmax", type=int, default=50)
     parser.add_argument("--swarm", type=int, default=15)
     parser.add_argument("--iters", type=int, default=50)
-    parser.add_argument("--fitness", default="holdout:0.2")
+    parser.add_argument("--fitness", type=FitnessSpec.parse, default="holdout:0.2",
+                        help="train-mse, holdout:FRAC or kfold:K")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--out", required=True)
@@ -74,12 +75,6 @@ def main() -> int:
         box = PRESET_BOXES[args.preset]
     else:
         box = ParamBox((1.0, 550.0), (0.01, 0.3), (0.2, 4.0))
-    if args.fitness.startswith("holdout:"):
-        fitness = FitnessSpec.holdout(float(args.fitness.split(":")[1]))
-    elif args.fitness.startswith("kfold:"):
-        fitness = FitnessSpec.kfold(int(args.fitness.split(":")[1]))
-    else:
-        fitness = FitnessSpec.train_mse()
     settings = SolverSettings(max_passes=3)
 
     default_report, default_model = evaluate_triple(
@@ -87,10 +82,10 @@ def main() -> int:
         settings=settings)
     de_config = DeConfig(pop_size=args.np_size, g_max=args.gmax, cr=0.7, f=0.9,
                          strategy="local_to_best_1_bin", seed=args.seed)
-    de_report, de_model = tune(train, test, box, de_config, fitness, settings,
+    de_report, de_model = tune(train, test, box, de_config, args.fitness, settings,
                                workers=args.threads)
     pso_config = PsoConfig(swarm=args.swarm, iters=args.iters, seed=args.seed)
-    pso_report, pso_model = tune(train, test, box, pso_config, fitness, settings,
+    pso_report, pso_model = tune(train, test, box, pso_config, args.fitness, settings,
                                  workers=args.threads)
 
     for name, report, model in (

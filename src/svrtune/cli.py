@@ -373,16 +373,6 @@ def cmd_sweep(cfg: RunConfig, options) -> int:
     return EXIT_OK
 
 
-def _parse_fitness(text: str) -> FitnessSpec:
-    if text in ("train-mse", "train_mse"):
-        return FitnessSpec.train_mse()
-    if text.startswith("holdout:"):
-        return FitnessSpec.holdout(float(text.split(":", 1)[1]))
-    if text.startswith("kfold:"):
-        return FitnessSpec.kfold(int(text.split(":", 1)[1]))
-    raise UsageError(f"unknown fitness spec {text!r}")
-
-
 def _tune_options(args: argparse.Namespace, cfg: RunConfig):
     """(search box, DE or PSO config, fitness)."""
     preset = _get(args, "preset", None)
@@ -417,7 +407,7 @@ def _tune_options(args: argparse.Namespace, cfg: RunConfig):
             v_max_fraction=float(_get(args, "vmax_fraction", 1.0)),
             seed=cfg.seed,
         )
-    return box, config, _parse_fitness(str(_get(args, "fitness", "train-mse")))
+    return box, config, FitnessSpec.parse(str(_get(args, "fitness", "train-mse")))
 
 
 def cmd_tune(cfg: RunConfig, options) -> int:

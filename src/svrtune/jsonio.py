@@ -2,8 +2,9 @@
 
 Every artifact file (models, normalizers, tune reports) is written through
 this module so that reruns with identical inputs produce byte-identical
-output. Floats are rendered with 17 significant digits, which round-trips
-every finite double exactly; dict keys keep insertion order.
+output. Floats are rendered in Python's shortest round-trip form (``repr``),
+which reads back as the same double, sign of zero included, and as a float,
+never an int; dict keys keep insertion order. Non-finite floats are refused.
 """
 
 from __future__ import annotations
@@ -18,56 +19,12 @@ __all__ = ["dumps", "loads", "fmt_float"]
 def fmt_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite float {value!r}")
-    return format(float(value), ".17g")
-
-
-def _encode(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{inner}{json.dumps(key)}: ")
-            _encode(val, indent + 1, out)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(obj):
-            out.append(inner)
-            _encode(val, indent + 1, out)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+    return repr(float(value))
 
 
 def dumps(obj: Any) -> str:
     """Serialize to pretty JSON with lossless, reproducible float formatting."""
-    out: list[str] = []
-    _encode(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def loads(text: str) -> Any:

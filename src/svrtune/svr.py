@@ -203,7 +203,6 @@ class _DenseKernel:
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
-        self.diag = np.ascontiguousarray(np.diagonal(mat)).copy()
 
     def column(self, i: int) -> np.ndarray:
         return self.mat[i]
@@ -215,7 +214,6 @@ class _LazyKernel:
     def __init__(self, spec: KernelSpec, geometry: "KernelGeometry") -> None:
         self.spec = spec
         self.geometry = geometry
-        self.diag = np.ones(geometry.features.shape[0])  # exp(-0 / gamma)
 
     def column(self, i: int) -> np.ndarray:
         return _kernel_values(self.spec, self.geometry.rows([i])[0])
@@ -290,7 +288,6 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
         steps = 0
     else:
         beta, resid, up, dn, steps = start
-    diag = kernel.diag
     snap = 1e-10 * max(1.0, c)
     scratch = np.empty(n)
     while True:
@@ -301,11 +298,12 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
         if violation <= tol or steps >= max_steps:
             break
         ki = kernel.column(i)
-        # second-order partner choice: maximize gain estimate D^2 / eta
+        # second-order partner choice: maximize gain estimate D^2 / eta; the
+        # RBF diagonal is exactly 1.0
         D = b_lo - dn
         np.multiply(ki, -2.0, out=scratch)
-        scratch += diag
-        scratch += diag[i]
+        scratch += 1.0
+        scratch += 1.0
         np.maximum(scratch, 1e-12, out=scratch)
         est = D * np.abs(D)
         est /= scratch

@@ -126,6 +126,17 @@ class FitnessSpec:
     def kfold(cls, k: int) -> "FitnessSpec":
         return cls(kind="kfold", k=k)
 
+    @classmethod
+    def parse(cls, text: str) -> "FitnessSpec":
+        """Read the text form: train-mse, holdout:FRACTION or kfold:K."""
+        if text in ("train-mse", "train_mse"):
+            return cls.train_mse()
+        if text.startswith("holdout:"):
+            return cls.holdout(float(text.split(":", 1)[1]))
+        if text.startswith("kfold:"):
+            return cls.kfold(int(text.split(":", 1)[1]))
+        raise ValueError(f"unknown fitness spec {text!r}")
+
 
 @dataclass(frozen=True)
 class SweepSpec:

@@ -397,11 +397,15 @@ class TestConfigFile:
     (["sweep", "--grid", "0.01:0.2:3"], {"vary": "delta"}),
     (["sweep", "--vary", "epsilon"], {"grid": [0.01, 0.2, 3]}),
     (TUNE_WITHOUT_METHOD, {"method": "ga"}),
+    ([*TUNE, "--threads", "0"], {}),
+    (["train"], {"threads": 0}),
+    ([*TUNE, "--fitness", "bogus"], {}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
         "out-under-a-file", "config-normalize-string", "c-range-below-sv-threshold",
         "sweep-without-vary", "sweep-without-grid", "tune-without-method", "config-vary-delta",
-        "config-grid-list", "config-method-ga"])
+        "config-grid-list", "config-method-ga", "threads-0", "config-threads-0",
+        "fitness-unknown"])
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range
     is a usage error, reported before any model is fitted."""
@@ -418,6 +422,22 @@ def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     assert code == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("fitness, code", [("kfold:2", 0), ("bogus", 2), ("holdout:abc", 2)])
+def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, code):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_comparison.py"
+    src = str(Path(svrtune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--rows", "120", "--train-n", "80", "--test-n", "30",
+         "--np", "4", "--gmax", "1", "--swarm", "2", "--iters", "1", "--threads", "1",
+         "--fitness", fitness, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (out / "de_report.json").exists() == (code == 0)
 
 
 class TestSplitValidation:

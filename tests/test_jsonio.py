@@ -1,0 +1,41 @@
+import math
+import struct
+
+import pytest
+
+from svrtune import jsonio
+
+# subnormal minimum, smallest normal, a non-terminating binary fraction, a
+# 17-digit repr, integral values past 2**53, the largest finite double, -0.0
+# (its sign) and 4.0, an integral value that must still read back as a float
+DOUBLES = [5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 2.0**53 + 2, 1e16,
+           1.7976931348623157e308, -0.0, 4.0]
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("x", DOUBLES, ids=repr)
+def test_round_trip_is_bit_exact_and_stays_float(x):
+    assert bits(float(jsonio.fmt_float(x))) == bits(x)
+    for back in (jsonio.loads(jsonio.dumps(x)), jsonio.loads(jsonio.dumps({"x": [x]}))["x"][0]):
+        assert type(back) is float
+        assert bits(back) == bits(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_refused(x):
+    with pytest.raises(ValueError):
+        jsonio.fmt_float(x)
+    with pytest.raises(ValueError):
+        jsonio.dumps({"x": [1.0, x]})
+
+
+def test_layout_keeps_key_order_and_ends_in_one_newline():
+    doc = {"z": 1, "a": [0.5, True, None], "m": {"y": "s", "b": []}, "e": {}}
+    text = jsonio.dumps(doc)
+    assert list(jsonio.loads(text)) == ["z", "a", "m", "e"]
+    assert list(jsonio.loads(text)["m"]) == ["y", "b"]
+    assert text == ('{\n  "z": 1,\n  "a": [\n    0.5,\n    true,\n    null\n  ],\n'
+                    '  "m": {\n    "y": "s",\n    "b": []\n  },\n  "e": {}\n}\n')
