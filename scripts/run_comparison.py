@@ -8,10 +8,11 @@ models, histories, prediction CSV) land in --out.
 """
 
 import argparse
+import functools
 import os
 from pathlib import Path
 
-from svrtune.cli import EXIT_OK
+from svrtune.cli import EXIT_OK, read_text, run_guarded
 from svrtune.dataset import (
     SplitSpec,
     apply_normalizer,
@@ -53,14 +54,27 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--out", required=True)
-    args = parser.parse_args()
+    return run_guarded(functools.partial(configure, parser.parse_args()))
 
+
+def configure(args: argparse.Namespace):
+    """The output directory, box and search configs, checked before any fit."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.preset:
+        box = PRESET_BOXES[args.preset]
+    else:
+        box = ParamBox((1.0, 550.0), (0.01, 0.3), (0.2, 4.0))
+    de_config = DeConfig(pop_size=args.np_size, g_max=args.gmax, cr=0.7, f=0.9,
+                         strategy="local_to_best_1_bin", seed=args.seed)
+    pso_config = PsoConfig(swarm=args.swarm, iters=args.iters, seed=args.seed)
+    return functools.partial(compare, args, out, box, de_config, pso_config)
 
+
+def compare(args: argparse.Namespace, out: Path, box: ParamBox, de_config: DeConfig,
+            pso_config: PsoConfig) -> int:
     if args.data:
-        text = Path(args.data).read_text(encoding="utf-8")
-        series = parse_csv(text)
+        series = parse_csv(read_text(Path(args.data), "data"))
     else:
         series = synthetic_ohlcv(rows=args.rows, seed=args.synthetic_seed, drift=0.0)
         (out / "data.csv").write_text(series_to_csv(series), encoding="utf-8")
@@ -71,20 +85,13 @@ def main() -> int:
     train, test = split(normed, SplitSpec(args.train_n, args.test_n))
     (out / "normalizer.json").write_text(normalizer_to_json(nmap), encoding="utf-8")
 
-    if args.preset:
-        box = PRESET_BOXES[args.preset]
-    else:
-        box = ParamBox((1.0, 550.0), (0.01, 0.3), (0.2, 4.0))
     settings = SolverSettings(max_passes=3)
 
     default_report, default_model = evaluate_triple(
         train, test, DEFAULT_PARAMS.c, DEFAULT_PARAMS.epsilon, DEFAULT_PARAMS.kernel.gamma,
         settings=settings)
-    de_config = DeConfig(pop_size=args.np_size, g_max=args.gmax, cr=0.7, f=0.9,
-                         strategy="local_to_best_1_bin", seed=args.seed)
     de_report, de_model = tune(train, test, box, de_config, args.fitness, settings,
                                workers=args.threads)
-    pso_config = PsoConfig(swarm=args.swarm, iters=args.iters, seed=args.seed)
     pso_report, pso_model = tune(train, test, box, pso_config, args.fitness, settings,
                                  workers=args.threads)
 

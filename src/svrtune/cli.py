@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .dataset import (
     supervised_from_csv,
     supervised_to_csv,
 )
-from .optim import DeConfig, ObjectiveError, PsoConfig, history_csv
+from .optim import DE_STRATEGIES, DeConfig, ObjectiveError, PsoConfig, history_csv
 from .svr import (
     DEFAULT_PARAMS,
     KernelSpec,
@@ -70,6 +71,29 @@ class UsageError(Exception):
     pass
 
 
+def run_guarded(configure: Callable[[], Callable[[], int]]) -> int:
+    """Run the job that ``configure()`` returns and give its exit code, with
+    every expected failure reported on one line instead of a traceback.
+    ``configure`` converts and checks the settings before any fit, so its
+    TypeError, ValueError or OSError is a usage error (2). In the job, a
+    DataError is 3 and a solver or optimizer failure 4."""
+    try:
+        try:
+            job = configure()
+        except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(str(exc)) from exc
+        return job()
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (ObjectiveError, RuntimeError, ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved shared experiment configuration."""
@@ -87,8 +111,6 @@ class RunConfig:
     settings: SolverSettings
 
     def __post_init__(self) -> None:
-        if self.fit_range not in ("train", "full"):
-            raise UsageError("--fit-range must be 'train' or 'full'")
         if not self.x_up > self.x_low:
             raise UsageError("--x-up must exceed --x-low")
         if self.train_n < 1:
@@ -145,20 +167,22 @@ def _fix_pair(text: str) -> tuple[str, float]:
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="input OHLCV CSV path")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--config", help="JSON file with defaults; flags override it")
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=None,
-                   help="min-max normalize features and target (default off)")
-    p.add_argument("--x-low", type=float, default=None, help="lower normalization bound (-1)")
-    p.add_argument("--x-up", type=float, default=None, help="upper normalization bound (+1)")
-    p.add_argument("--train-n", type=int, default=None, help="training rows (500)")
-    p.add_argument("--test-n", type=int, default=None, help="test rows (200)")
-    p.add_argument("--fit-range", choices=("train", "full"), default=None,
-                   help="rows the normalizer is fitted on (train)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel fitness evaluations (machine cores)")
-    p.add_argument("--kkt-tolerance", type=float, default=None, help="solver tolerance (1e-3)")
-    p.add_argument("--max-passes", type=int, default=None, help="solver sweep budget (10n)")
+    p.add_argument("--config", help="JSON file of flag values; flags on the command line win")
+    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=False,
+                   help="min-max normalize features and target")
+    p.add_argument("--x-low", type=float, default=-1.0, help="lower normalization bound")
+    p.add_argument("--x-up", type=float, default=1.0, help="upper normalization bound")
+    p.add_argument("--train-n", type=int, default=500, help="training rows")
+    p.add_argument("--test-n", type=int, default=200, help="test rows")
+    p.add_argument("--fit-range", choices=("train", "full"), default="train",
+                   help="rows the normalizer is fitted on")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="parallel fitness evaluations")
+    p.add_argument("--kkt-tolerance", type=float, default=SolverSettings.kkt_tolerance,
+                   help="solver tolerance")
+    p.add_argument("--max-passes", type=int, default=SolverSettings.max_passes,
+                   help="solver budget in passes of n pairwise updates; None is the solver's own")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,112 +191,112 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and tune epsilon-SVR models for next-day close prediction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, whose options a config file may set
 
-    p = sub.add_parser("ingest", help="build the supervised set (and normalizer) from a CSV")
-    _add_shared(p)
-    p.set_defaults(func=cmd_ingest, options=lambda args, cfg: None)
+    def command(name: str, summary: str, func, options) -> argparse.ArgumentParser:
+        # no abbreviations: --config is found before the parse, so --conf would go unread
+        p = sub.add_parser(name, help=summary, allow_abbrev=False,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        _add_shared(p)
+        p.set_defaults(func=func, options=options)
+        return p
 
-    p = sub.add_parser("sweep", help="one-at-a-time parameter sweep to CSV")
-    _add_shared(p)
-    p.add_argument("--vary", choices=PARAM_NAMES, default=None)
-    p.add_argument("--grid", type=_grid, default=None, metavar="LO:HI:N")
+    command("ingest", "build the supervised set (and normalizer) from a CSV",
+            cmd_ingest, lambda args, cfg: None)
+
+    p = command("sweep", "one-at-a-time parameter sweep to CSV", cmd_sweep, _sweep_options)
+    p.add_argument("--vary", choices=PARAM_NAMES, required=True)
+    p.add_argument("--grid", type=_grid, required=True, metavar="LO:HI:N")
     p.add_argument("--fix", type=_fix_pair, action="append", default=[],
                    metavar="NAME=VALUE", help="fixed value for a non-varying parameter")
-    p.set_defaults(func=cmd_sweep, options=_sweep_options)
 
-    p = sub.add_parser("tune", help="search (C, epsilon, gamma) with DE or PSO")
-    _add_shared(p)
-    p.add_argument("--method", choices=("de", "pso"), default=None)
-    p.add_argument("--preset", choices=sorted(PRESET_BOXES), default=None)
-    p.add_argument("--c-range", type=_range_pair, default=None, metavar="LO:HI")
-    p.add_argument("--epsilon-range", type=_range_pair, default=None, metavar="LO:HI")
-    p.add_argument("--gamma-range", type=_range_pair, default=None, metavar="LO:HI")
-    p.add_argument("--fitness", default=None,
-                   help="train-mse (default), holdout:FRAC or kfold:K")
-    p.add_argument("--np", dest="np_size", type=int, default=None, help="DE population (30)")
-    p.add_argument("--gmax", type=int, default=None, help="DE generations (200)")
-    p.add_argument("--cr", type=float, default=None, help="DE crossover probability (0.9)")
-    p.add_argument("--f", type=float, default=None, help="DE scale factor (0.5)")
-    p.add_argument("--strategy", choices=("rand_1_bin", "local_to_best_1_bin"), default=None)
-    p.add_argument("--swarm", type=int, default=None, help="PSO swarm size (30)")
-    p.add_argument("--iters", type=int, default=None, help="PSO iterations (200)")
-    p.add_argument("--w", type=float, default=None, help="PSO inertia weight (0.729)")
-    p.add_argument("--c1", type=float, default=None, help="PSO cognitive coefficient (1.494)")
-    p.add_argument("--c2", type=float, default=None, help="PSO social coefficient (1.494)")
-    p.add_argument("--vmax-fraction", type=float, default=None,
-                   help="PSO velocity clamp as span fraction (1.0)")
-    p.set_defaults(func=cmd_tune, options=_tune_options)
+    de, pso = DeConfig(), PsoConfig()
+    p = command("tune", "search (C, epsilon, gamma) with DE or PSO", cmd_tune, _tune_options)
+    p.add_argument("--method", choices=("de", "pso"), required=True)
+    p.add_argument("--preset", choices=sorted(PRESET_BOXES), help="named search box")
+    p.add_argument("--c-range", type=_range_pair, metavar="LO:HI")
+    p.add_argument("--epsilon-range", type=_range_pair, metavar="LO:HI")
+    p.add_argument("--gamma-range", type=_range_pair, metavar="LO:HI")
+    p.add_argument("--fitness", default="train-mse", help="train-mse, holdout:FRAC or kfold:K")
+    p.add_argument("--np", dest="np_size", type=int, default=de.pop_size, help="DE population")
+    p.add_argument("--gmax", type=int, default=de.g_max, help="DE generations")
+    p.add_argument("--cr", type=float, default=de.cr, help="DE crossover probability")
+    p.add_argument("--f", type=float, default=de.f, help="DE scale factor")
+    p.add_argument("--strategy", choices=DE_STRATEGIES, default=de.strategy, help="DE mutation")
+    p.add_argument("--swarm", type=int, default=pso.swarm, help="PSO swarm size")
+    p.add_argument("--iters", type=int, default=pso.iters, help="PSO iterations")
+    p.add_argument("--w", type=float, default=pso.w, help="PSO inertia weight")
+    p.add_argument("--c1", type=float, default=pso.c1, help="PSO cognitive coefficient")
+    p.add_argument("--c2", type=float, default=pso.c2, help="PSO social coefficient")
+    p.add_argument("--vmax-fraction", type=float, default=pso.v_max_fraction,
+                   help="PSO velocity clamp as span fraction")
 
-    p = sub.add_parser("train", help="train one SVR at a fixed triple")
-    _add_shared(p)
-    p.add_argument("--c", type=_positive_float, default=None, help="cost penalty (1)")
-    p.add_argument("--epsilon", type=_nonneg_float, default=None, help="tube half-width (0.1)")
-    p.add_argument("--gamma", type=_positive_float, default=None, help="RBF width 2*sigma^2 (0.2)")
-    p.set_defaults(func=cmd_train, options=_train_params)
+    p = command("train", "train one SVR at a fixed triple", cmd_train, _train_params)
+    p.add_argument("--c", type=_positive_float, default=DEFAULT_PARAMS.c, help="cost penalty")
+    p.add_argument("--epsilon", type=_nonneg_float, default=DEFAULT_PARAMS.epsilon,
+                   help="tube half-width")
+    p.add_argument("--gamma", type=_positive_float, default=DEFAULT_PARAMS.kernel.gamma,
+                   help="RBF width 2*sigma^2")
 
-    p = sub.add_parser("predict", help="predict from a saved model")
-    _add_shared(p)
+    p = command("predict", "predict from a saved model", cmd_predict,
+                lambda args, cfg: (Path(args.model), args.normalizer))
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--normalizer", default=None,
-                   help="normalizer JSON; output in original price units")
-    p.set_defaults(func=cmd_predict, options=lambda args, cfg: (Path(args.model), args.normalizer))
+    p.add_argument("--normalizer", help="normalizer JSON; output in original price units")
 
     return parser
 
 
-def _load_config_file(args: argparse.Namespace) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    path = Path(args.config)
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    doc = jsonio.loads(path.read_text(encoding="utf-8"))
+def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The values of a config file as flag tokens of this command.
+
+    A key is an option's dest; a key that is no option of the command is
+    skipped. Each value becomes ``--flag=value``, true and false become
+    ``--flag`` and ``--no-flag``, and a list repeats its flag."""
+    try:
+        doc = jsonio.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
-    return doc
-
-
-def _get(args: argparse.Namespace, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return args._file_config.get(key, default)
+    flags = {action.dest: action.option_strings[0] for action in command._actions
+             if action.option_strings and action.dest not in ("help", "config")}
+    tokens = []
+    for key, value in doc.items():
+        flag = flags.get(key)
+        if flag is None:
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, bool):
+                tokens.append(flag if item else f"--no-{flag[2:]}")
+            else:
+                tokens.append(f"{flag}={item}")
+    return tokens
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """The shared settings; creates the output directory."""
-    data = _get(args, "data", None)
-    out = _get(args, "out", None)
-    if data is None:
+    if args.data is None:
         raise UsageError("--data is required")
-    if out is None:
+    if args.out is None:
         raise UsageError("--out is required")
-    normalize = _get(args, "normalize", False)
-    if not isinstance(normalize, bool):
-        raise UsageError(f"normalize must be true or false, got {normalize!r}")
-    max_passes = _get(args, "max_passes", None)
-    settings = SolverSettings(
-        kkt_tolerance=float(_get(args, "kkt_tolerance", 1e-3)),
-        max_passes=int(max_passes) if max_passes is not None else None,
-    )
     cfg = RunConfig(
-        data_path=Path(data),
-        out_dir=Path(out),
-        normalize=normalize,
-        x_low=float(_get(args, "x_low", -1.0)),
-        x_up=float(_get(args, "x_up", 1.0)),
-        train_n=int(_get(args, "train_n", 500)),
-        test_n=int(_get(args, "test_n", 200)),
-        fit_range=str(_get(args, "fit_range", "train")),
-        seed=int(_get(args, "seed", 0)),
-        threads=int(_get(args, "threads", os.cpu_count() or 1)),
-        settings=settings,
+        data_path=Path(args.data),
+        out_dir=Path(args.out),
+        normalize=args.normalize,
+        x_low=args.x_low,
+        x_up=args.x_up,
+        train_n=args.train_n,
+        test_n=args.test_n,
+        fit_range=args.fit_range,
+        seed=args.seed,
+        threads=args.threads,
+        settings=SolverSettings(args.kkt_tolerance, args.max_passes),
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return cfg
 
 
-def _read_text(path: Path, what: str) -> str:
+def read_text(path: Path, what: str) -> str:
     """A file's text; a missing or unreadable file is a data error."""
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
@@ -283,7 +307,7 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def _load_supervised(cfg: RunConfig) -> SupervisedSet:
-    return build_supervised(parse_csv(_read_text(cfg.data_path, "data")))
+    return build_supervised(parse_csv(read_text(cfg.data_path, "data")))
 
 
 def _normalize(cfg: RunConfig, sset: SupervisedSet) -> tuple[SupervisedSet, NormalizationMap | None]:
@@ -336,22 +360,9 @@ def cmd_ingest(cfg: RunConfig, _options: None) -> int:
     return EXIT_OK
 
 
-def _required(args: argparse.Namespace, key: str, choices=None):
-    """A value with no default, from the flags or the config file."""
-    value = _get(args, key, None)
-    if value is None:
-        raise UsageError(f"--{key} is required")
-    if choices is not None and value not in choices:
-        raise UsageError(f"--{key} must be one of {', '.join(choices)}, got {value!r}")
-    return value
-
-
 def _sweep_options(args: argparse.Namespace, cfg: RunConfig):
     """(varying parameter, grid values, fixed values given by --fix)."""
-    vary = _required(args, "vary", PARAM_NAMES)
-    grid = _required(args, "grid")
-    lo, hi, n = grid if isinstance(grid, tuple) else _grid(str(grid))  # a file holds the text
-    fixed = dict(args.fix)
+    vary, (lo, hi, n), fixed = args.vary, args.grid, dict(args.fix)
     if vary in fixed:
         raise UsageError(f"--fix {vary} names the varying parameter")
     (_nonneg_float if vary == "epsilon" else _positive_float)(lo)  # raises if out of range
@@ -366,7 +377,7 @@ def cmd_sweep(cfg: RunConfig, options) -> int:
     if "gamma" not in fixed and vary != "gamma":
         fixed["gamma"] = heuristic_gamma()
     if "epsilon" not in fixed and vary != "epsilon":
-        fixed["epsilon"] = 0.1
+        fixed["epsilon"] = DEFAULT_PARAMS.epsilon
     rows = sweep(train, test, SweepSpec(varying=vary, grid=grid, **fixed), cfg.settings)
     _write(cfg.out_dir, {"sweep.csv": sweep_rows_to_csv(rows)})
     print(f"swept {vary} over {len(rows)} grid points -> {cfg.out_dir / 'sweep.csv'}")
@@ -375,39 +386,22 @@ def cmd_sweep(cfg: RunConfig, options) -> int:
 
 def _tune_options(args: argparse.Namespace, cfg: RunConfig):
     """(search box, DE or PSO config, fitness)."""
-    preset = _get(args, "preset", None)
-    ranges = (_get(args, "c_range", None), _get(args, "epsilon_range", None),
-              _get(args, "gamma_range", None))
-    if preset is not None and any(r is not None for r in ranges):
+    ranges = (args.c_range, args.epsilon_range, args.gamma_range)
+    if args.preset is not None and any(r is not None for r in ranges):
         raise UsageError("give either --preset or explicit ranges, not both")
-    if preset is not None:
-        if preset not in PRESET_BOXES:
-            raise UsageError(f"unknown preset {preset!r}")
-        box = PRESET_BOXES[preset]
+    if args.preset is not None:
+        box = PRESET_BOXES[args.preset]
     elif all(r is not None for r in ranges):
-        box = ParamBox(tuple(ranges[0]), tuple(ranges[1]), tuple(ranges[2]))
+        box = ParamBox(*ranges)
     else:
         raise UsageError("tune needs --preset or all of --c-range/--epsilon-range/--gamma-range")
-    if _required(args, "method", ("de", "pso")) == "de":
-        config = DeConfig(
-            pop_size=int(_get(args, "np_size", 30)),
-            f=float(_get(args, "f", 0.5)),
-            cr=float(_get(args, "cr", 0.9)),
-            strategy=str(_get(args, "strategy", "rand_1_bin")),
-            g_max=int(_get(args, "gmax", 200)),
-            seed=cfg.seed,
-        )
+    if args.method == "de":
+        config = DeConfig(pop_size=args.np_size, f=args.f, cr=args.cr, strategy=args.strategy,
+                          g_max=args.gmax, seed=cfg.seed)
     else:
-        config = PsoConfig(
-            swarm=int(_get(args, "swarm", 30)),
-            w=float(_get(args, "w", 0.729)),
-            c1=float(_get(args, "c1", 1.494)),
-            c2=float(_get(args, "c2", 1.494)),
-            iters=int(_get(args, "iters", 200)),
-            v_max_fraction=float(_get(args, "vmax_fraction", 1.0)),
-            seed=cfg.seed,
-        )
-    return box, config, FitnessSpec.parse(str(_get(args, "fitness", "train-mse")))
+        config = PsoConfig(swarm=args.swarm, w=args.w, c1=args.c1, c2=args.c2, iters=args.iters,
+                           v_max_fraction=args.vmax_fraction, seed=cfg.seed)
+    return box, config, FitnessSpec.parse(args.fitness)
 
 
 def cmd_tune(cfg: RunConfig, options) -> int:
@@ -430,9 +424,7 @@ def cmd_tune(cfg: RunConfig, options) -> int:
 
 
 def _train_params(args: argparse.Namespace, cfg: RunConfig) -> SvrParams:
-    kernel = KernelSpec(gamma=float(_get(args, "gamma", DEFAULT_PARAMS.kernel.gamma)))
-    return SvrParams(float(_get(args, "c", DEFAULT_PARAMS.c)),
-                     float(_get(args, "epsilon", DEFAULT_PARAMS.epsilon)), kernel)
+    return SvrParams(args.c, args.epsilon, KernelSpec(gamma=args.gamma))
 
 
 def cmd_train(cfg: RunConfig, params: SvrParams) -> int:
@@ -450,7 +442,7 @@ def cmd_train(cfg: RunConfig, params: SvrParams) -> int:
 
 def _read_json_file(path: Path, what: str, parse):
     """Parse a file this program wrote; a missing or malformed one is a data error."""
-    text = _read_text(path, what)
+    text = read_text(path, what)
     try:
         return parse(text)
     except (KeyError, TypeError, ValueError) as exc:
@@ -460,7 +452,7 @@ def _read_json_file(path: Path, what: str, parse):
 def cmd_predict(cfg: RunConfig, options) -> int:
     model_path, normalizer_path = options
     model = _read_json_file(model_path, "model", model_from_json)
-    sset, has_target = supervised_from_csv(_read_text(cfg.data_path, "data"))
+    sset, has_target = supervised_from_csv(read_text(cfg.data_path, "data"))
     predictions = predict_batch(model, sset.features)
     actual = sset.targets if has_target else None
     if normalizer_path is not None:
@@ -482,24 +474,21 @@ def cmd_predict(cfg: RunConfig, options) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        try:  # every flag and config-file value, converted and validated before any fit
-            args._file_config = _load_config_file(args)
-            cfg = _run_config(args)
-            options = args.options(args, cfg)
-        except (OSError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(str(exc)) from exc
-        return args.func(cfg, options)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ObjectiveError, RuntimeError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    argv = sys.argv[1:] if argv is None else list(argv)
+
+    def configure() -> Callable[[], int]:
+        """Every flag and config-file value, converted and checked by one parse."""
+        command = parser.commands.get(argv[0]) if argv else None
+        pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv[1:])[0].config
+        tokens = _config_tokens(command, path) if command and path else []
+        args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
+        cfg = _run_config(args)
+        options = args.options(args, cfg)
+        return lambda: args.func(cfg, options)
+
+    return run_guarded(configure)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from svrtune.dataset import (
     series_to_csv,
     supervised_from_csv,
 )
-from svrtune.svr import model_from_json
+from svrtune.optim import DeConfig, PsoConfig
+from svrtune.svr import DEFAULT_PARAMS, SolverSettings, model_from_json
 from svrtune.synth import synthetic_ohlcv
 
 
@@ -355,14 +356,23 @@ class TestConfigFile:
         assert model.params.c == 3.0
 
     def test_config_supplies_sweep_vary_and_grid(self, data_csv, tmp_path):
-        flags = tmp_path / "flags"
-        assert main(["sweep", *shared(data_csv, flags), "--vary", "epsilon",
-                     "--grid", "0.01:0.2:3"]) == 0
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"vary": "epsilon", "grid": "0.01:0.2:3"}))
-        out = tmp_path / "file"
-        assert main(["sweep", *shared(data_csv, out), "--config", str(cfg)]) == 0
-        assert (out / "sweep.csv").read_bytes() == (flags / "sweep.csv").read_bytes()
+        """A run configured by the file alone writes the bytes of its flag form."""
+        sweep = ["sweep", "--vary", "epsilon", "--grid", "0.01:0.2:3"]
+        cases = [
+            (sweep, {"vary": "epsilon", "grid": "0.01:0.2:3"}, ["sweep.csv"]),
+            ([*sweep, "--fix", "c=2.0"], {"vary": "epsilon", "grid": "0.01:0.2:3",
+                                          "fix": ["c=2.0"]}, ["sweep.csv"]),
+            (TUNE, {"method": "de", "c_range": "0.5:8", "epsilon_range": "0.02:0.1",
+                    "gamma_range": "0.3:1.5", "np_size": 5, "gmax": 2, "threads": 1},
+             ["report.json", "model.json", "history.csv"]),
+        ]
+        for i, (argv, config, names) in enumerate(cases):
+            flags, out, cfg = tmp_path / f"flags{i}", tmp_path / f"file{i}", tmp_path / f"{i}.json"
+            assert main([*argv, *shared(data_csv, flags)]) == 0
+            cfg.write_text(json.dumps(config))
+            assert main([argv[0], *shared(data_csv, out), "--config", str(cfg)]) == 0
+            for name in names:
+                assert (out / name).read_bytes() == (flags / name).read_bytes(), (argv, name)
 
     def test_config_supplies_tune_method(self, data_csv, tmp_path):
         cfg = tmp_path / "run.json"
@@ -374,6 +384,25 @@ class TestConfigFile:
     def test_missing_config_file_exits_2(self, data_csv, tmp_path):
         assert main(["train", *shared(data_csv, tmp_path / "o"),
                      "--config", str(tmp_path / "none.json")]) == 2
+
+
+def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
+    """With no optional flag, each command resolves to the library's defaults,
+    and --help shows them."""
+    parser = cli.build_parser()
+
+    def resolve(*argv):
+        args = parser.parse_args([*argv, "--data", str(data_csv), "--out", str(tmp_path)])
+        cfg = cli._run_config(args)
+        assert cfg.settings == SolverSettings()
+        return args.options(args, cfg)
+
+    for method, expected in (("de", DeConfig(seed=0)), ("pso", PsoConfig(seed=0))):
+        _, config, _ = resolve("tune", "--method", method, "--preset", "apple-normalized")
+        assert config == expected
+    assert resolve("train") == DEFAULT_PARAMS
+    resolve("sweep", "--vary", "epsilon", "--grid", "0.01:0.2:3")
+    assert f"(default: {DeConfig().pop_size})" in parser.commands["tune"].format_help()
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -400,12 +429,17 @@ class TestConfigFile:
     ([*TUNE, "--threads", "0"], {}),
     (["train"], {"threads": 0}),
     ([*TUNE, "--fitness", "bogus"], {}),
+    (["tune", "--method", "de", "--preset", "honeywell-raw", "--gmax", "1", "--threads", "1"],
+     {"np_size": 4.7}),
+    (["train"], {"threads": 1.5}),
+    (["tune", "--method", "de", "--epsilon-range", "0.02:0.1", "--gamma-range", "0.3:1.5",
+      "--np", "5", "--gmax", "1", "--threads", "1"], {"c_range": [0.5, 8]}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
         "out-under-a-file", "config-normalize-string", "c-range-below-sv-threshold",
         "sweep-without-vary", "sweep-without-grid", "tune-without-method", "config-vary-delta",
         "config-grid-list", "config-method-ga", "threads-0", "config-threads-0",
-        "fitness-unknown"])
+        "fitness-unknown", "config-np-size-4.7", "config-threads-1.5", "config-c-range-list"])
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range
     is a usage error, reported before any model is fitted."""
@@ -424,8 +458,12 @@ def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
-@pytest.mark.parametrize("fitness, code", [("kfold:2", 0), ("bogus", 2), ("holdout:abc", 2)])
-def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, code):
+@pytest.mark.parametrize("fitness, extra, code", [
+    ("kfold:2", [], 0), ("bogus", [], 2), ("holdout:abc", [], 2),
+    ("kfold:2", ["--np", "2"], 2), ("kfold:2", ["--train-n", "5000"], 3),
+    ("kfold:2", ["--data", "{tmp}/none.csv"], 3),
+], ids=["kfold:2-0", "bogus-2", "holdout:abc-2", "np-2", "train-n-5000", "data-missing"])
+def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, extra, code):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_comparison.py"
     src = str(Path(svrtune.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -433,7 +471,8 @@ def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, cod
     proc = subprocess.run(
         [sys.executable, str(script), "--rows", "120", "--train-n", "80", "--test-n", "30",
          "--np", "4", "--gmax", "1", "--swarm", "2", "--iters", "1", "--threads", "1",
-         "--fitness", fitness, "--out", str(out)],
+         "--fitness", fitness, "--out", str(out),
+         *(arg.replace("{tmp}", str(tmp_path)) for arg in extra)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
