@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import multiprocessing
@@ -168,6 +169,15 @@ def init_population(space: SearchSpace, size: int, seed: int) -> np.ndarray:
     return members
 
 
+@lru_cache(maxsize=1024)
+def _others(size: int, target_index: int) -> np.ndarray:
+    """The member indices other than target_index, built once per pair and
+    read-only, since every caller shares it."""
+    others = np.delete(np.arange(size), target_index)
+    others.setflags(write=False)
+    return others
+
+
 def de_mutate(members: np.ndarray, target_index: int, config: DeConfig,
               best_index: int, rng: np.random.Generator) -> np.ndarray:
     """Mutant vector for one target.
@@ -179,7 +189,7 @@ def de_mutate(members: np.ndarray, target_index: int, config: DeConfig,
     size = members.shape[0]
     if size < 4:
         raise ValueError("population too small to draw distinct partners")
-    others = np.concatenate([np.arange(target_index), np.arange(target_index + 1, size)])
+    others = _others(size, target_index)
     if config.strategy == "rand_1_bin":
         r0, r1, r2 = rng.choice(others, size=3, replace=False)
         return members[r0] + config.f * (members[r1] - members[r2])
@@ -190,9 +200,8 @@ def de_mutate(members: np.ndarray, target_index: int, config: DeConfig,
 
 def de_crossover(target: np.ndarray, mutant: np.ndarray, cr: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """Binomial crossover: mutant component where u_j <= cr or j == j_rand."""
-    target = np.asarray(target, dtype=np.float64)
-    mutant = np.asarray(mutant, dtype=np.float64)
+    """Binomial crossover of two float vectors: mutant component where
+    u_j <= cr or j == j_rand."""
     if target.shape != mutant.shape:
         raise ValueError("target and mutant dimensions differ")
     d = target.shape[0]
@@ -287,7 +296,7 @@ def de_optimize(objective: Callable, space: SearchSpace, config: DeConfig,
                 rng = _member_rng(config.seed, g, i)
                 mutant = de_mutate(members, i, config, best_index, rng)
                 trial = de_crossover(members[i], mutant, config.cr, rng)
-                np.clip(trial, lower, upper, out=trial)
+                trial.clip(lower, upper, out=trial)
                 trials[i] = trial
             trial_fit = evaluate(trials)
             improved = trial_fit <= fitness
@@ -334,9 +343,9 @@ def pso_optimize(objective: Callable, space: SearchSpace, config: PsoConfig,
                 v[i] = (config.w * v[i]
                         + config.c1 * r1 * (pbest_x[i] - x[i])
                         + config.c2 * r2 * (gbest_x - x[i]))
-            np.clip(v, -v_max, v_max, out=v)
+            v.clip(-v_max, v_max, out=v)
             x += v
-            np.clip(x, lower, upper, out=x)
+            x.clip(lower, upper, out=x)
             fitness = evaluate(x)
             improved = fitness < pbest_f
             pbest_x[improved] = x[improved]

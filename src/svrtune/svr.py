@@ -18,7 +18,10 @@ alone. A lockstep step costs several scalar steps, so the lockstep loop
 runs only while at least LOCKSTEP_MIN problems are unfinished; the last
 few, or a batch of fewer, go on alone in the scalar loop from where they
 stand. train_svr is its one-triple case, solved in the scalar loop from
-beta = 0.
+beta = 0. The scalar loop keeps each step's scalar bookkeeping on Python
+floats, which are IEEE doubles as np.float64 scalars are, in the same
+order of operations, so its models are those of numpy scalar arithmetic
+bit for bit, for a third to a half less time per step.
 
 The kernel is the RBF kernel k(x, z) = exp(-||x - z||^2 / gamma): gamma
 denotes the full denominator of the exponent, i.e. gamma = 2*sigma^2. Larger
@@ -69,10 +72,15 @@ KERNEL_CACHE_LIMIT = 4096
 # train_svr_batch advances its fits in lockstep while at least this many are
 # unfinished and finishes the rest one by one in the scalar loop: a lockstep
 # step costs several scalar steps, so it pays only while enough problems
-# share it. On sub-batches of real DE and PSO generations (400 and 500
-# training rows, max_passes 3, 2 cores), lockstep was 5 to 7% slower than
-# the scalar loop on 4 fits, 2 to 5% faster on 5 and 9 to 19% faster on 7.
-LOCKSTEP_MIN = 5
+# share it. Measured once the scalar step ran on Python floats: every slice
+# of P points of an 8-generation desk-de job (DE, holdout 0.2, 400 fit rows,
+# max_passes 3, 2 cores) timed under each value in turn. 8 was fastest or
+# within 1% for P = 5, 7, 8, 10, 12 and 15; 5 was 4 to 17% slower than 8 at
+# every P, and the scalar loop alone 19% slower at P = 15. The ROADMAP desk
+# tune (population 15) then took 11.7 to 13.1 s at --threads 4, whose shares
+# of 3 and 4 run the scalar loop throughout, and 12.1 to 15.4 s at
+# --threads 2 (3 runs each).
+LOCKSTEP_MIN = 8
 
 # training rows with |beta| above this are support vectors
 SV_THRESHOLD = 1e-8
@@ -278,6 +286,13 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     yields the bias (midpoint), which reduces to the feasible-interval
     midpoint rule when no support vector is free. start = (beta, resid, up,
     dn, steps) resumes a solve from that state instead of from beta = 0.
+
+    c and epsilon are Python floats, and a step's scalar bookkeeping (the
+    window ends, the pair's coefficients, the line search, the snap to the
+    box, the two bound entries) runs on Python floats read with
+    ndarray.item. They are IEEE doubles, as np.float64 scalars are, and
+    every operation keeps its order, so each value is the one numpy
+    scalars would give, bit for bit.
     """
     n = y.shape[0]
     if start is None:
@@ -289,11 +304,13 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     else:
         beta, resid, up, dn, steps = start
     snap = 1e-10 * max(1.0, c)
+    top, bottom = c - snap, -c + snap
+    two_eps = 2.0 * epsilon
     scratch = np.empty(n)
     while True:
-        i = int(np.argmax(up))
-        b_lo = up[i]
-        b_up = dn[int(np.argmin(dn))]
+        i = up.argmax()
+        b_lo = up.item(i)
+        b_up = dn.item(dn.argmin())
         violation = b_lo - b_up
         if violation <= tol or steps >= max_steps:
             break
@@ -307,22 +324,23 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
         np.maximum(scratch, 1e-12, out=scratch)
         est = D * np.abs(D)
         est /= scratch
-        j = int(np.argmax(est))
+        j = est.argmax()
         kj = kernel.column(j)
-        bi = beta[i]
-        bj = beta[j]
-        eta = scratch[j]
-        a = resid[i] - resid[j]
+        bi = beta.item(i)
+        bj = beta.item(j)
+        eta = scratch.item(j)
+        a = resid.item(i) - resid.item(j)
         lo = max(-c - bi, bj - c)
         hi = min(c - bi, bj + c)
         # exact maximization of the piecewise-concave quadratic in the move d
+        half_eta, abs_bi, abs_bj = 0.5 * eta, abs(bi), abs(bj)
         best_d = hi
-        best_g = a * hi - 0.5 * eta * hi * hi - epsilon * (
-            abs(bi + hi) - abs(bi) + abs(bj - hi) - abs(bj))
-        for d in (lo, -bi, bj, a / eta, (a - 2.0 * epsilon) / eta, (a + 2.0 * epsilon) / eta):
+        best_g = a * hi - half_eta * hi * hi - epsilon * (
+            abs(bi + hi) - abs_bi + abs(bj - hi) - abs_bj)
+        for d in (lo, -bi, bj, a / eta, (a - two_eps) / eta, (a + two_eps) / eta):
             if lo <= d <= hi:
-                g = a * d - 0.5 * eta * d * d - epsilon * (
-                    abs(bi + d) - abs(bi) + abs(bj - d) - abs(bj))
+                g = a * d - half_eta * d * d - epsilon * (
+                    abs(bi + d) - abs_bi + abs(bj - d) - abs_bj)
                 if g > best_g:
                     best_g = g
                     best_d = d
@@ -330,13 +348,13 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
             break  # numerically stuck; keep the honest violation
         new_i = bi + best_d
         new_j = bj - best_d
-        if new_i > c - snap:
+        if new_i > top:
             new_i = c
-        elif new_i < -c + snap:
+        elif new_i < bottom:
             new_i = -c
-        if new_j > c - snap:
+        if new_j > top:
             new_j = c
-        elif new_j < -c + snap:
+        elif new_j < bottom:
             new_j = -c
         delta = (new_i - bi) * ki
         if new_j != bj:
@@ -347,13 +365,12 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
         beta[i] = new_i
         beta[j] = new_j
         for t in (i, j):
-            bt = beta[t]
-            rt = resid[t]
+            bt = beta.item(t)
+            rt = resid.item(t)
             up[t] = -np.inf if bt >= c else (rt - epsilon if bt >= 0.0 else rt + epsilon)
             dn[t] = np.inf if bt <= -c else (rt + epsilon if bt <= 0.0 else rt - epsilon)
         steps += 1
-    bias = 0.5 * (b_lo + b_up)
-    return beta, float(bias), steps, max(float(violation), 0.0)
+    return beta, 0.5 * (b_lo + b_up), steps, max(violation, 0.0)
 
 
 def _solve_dual_batch(geometry: KernelGeometry, y: np.ndarray, c: np.ndarray,

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +276,52 @@ def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
     # the third fit to stop gets stuck in step 492; the capped and the
     # converging one go on alone from there
     assert starts == [(100.0, 492), (0.5, 492)]
+
+
+# rows, (c, epsilon, gamma) triples, settings and the sha256 of every fit's
+# solver output, recorded when the scalar loop was last rewritten
+PINNED = [
+    pytest.param(60, STOPS, SolverSettings(kkt_tolerance=1e-9, max_passes=20),
+                 "7f2e7e780ef5e37ed8fc8c095031c5181ae0491a316adfbfa1fa8e2057dc4ce5", id="stops"),
+    # 400 rows at C near 500: every fit stops at the cap of 1,200 steps
+    pytest.param(400, [(500.0, 0.01, 1.0), (480.0, 0.05, 0.2), (520.0, 0.02, 4.0)],
+                 SolverSettings(max_passes=3),
+                 "9e309e3daa1843bf892ec843a85e2b16fc5f1e60d575f28ca25d807985e5dfe0", id="capped-400"),
+]
+
+
+@pytest.mark.parametrize("rows, triples, settings, expected", PINNED)
+def test_solver_bits_are_pinned(monkeypatch, rows, triples, settings, expected):
+    """The solver's output, bit for bit (the sign of a zero beta too), is the
+    one recorded in PINNED, whether a fit runs the scalar loop from
+    beta = 0, the lockstep loop to its end, or hands off from one to the
+    other. The other tests compare the two loops with each other, so a
+    change to both alike would pass them; this one would fail."""
+    X, y = noisy_sine(rows, seed=3)
+    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in triples]
+    solve_batch = svr_mod._solve_dual_batch
+
+    def digest(fit) -> str:
+        """sha256 of every solver output of the fits that fit() makes."""
+        outputs = []
+
+        def recording(*args):
+            outputs.append(solve_batch(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(svr_mod, "_solve_dual_batch", recording)
+        fit()
+        h = hashlib.sha256()
+        for beta, bias, steps, violation in outputs:
+            for k in range(bias.shape[0]):
+                h.update(beta[k].tobytes())
+                h.update(struct.pack("<dqd", bias[k], steps[k], violation[k]))
+        return h.hexdigest()
+
+    assert digest(lambda: [train_svr(X, y, p, settings) for p in params]) == expected
+    for lockstep_min in (1, 3):
+        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", lockstep_min)
+        assert digest(lambda: train_svr_batch(X, y, params, settings)) == expected, lockstep_min
 
 
 class TestPredict:

@@ -90,8 +90,9 @@ class TestHeuristics:
 
 
 class TestSweep:
-    # the 8-point grid's fits stop at steps 29 to 199; the fifth to stop
-    # retires at step 108, and the last four go on alone from step 109
+    # the 8-point grid's fits stop at steps 29 to 199; with LOCKSTEP_MIN 5
+    # the fifth to stop retires at step 108, and the last four go on alone
+    # from step 109
     @pytest.mark.parametrize("grid", [(0.05,), tuple(np.linspace(0.01, 0.3, 8))],
                              ids=["1-point", "8-point"])
     def test_single_point_equals_direct_composition(self, monkeypatch, grid):
@@ -106,6 +107,7 @@ class TestSweep:
             return solve_alone(kernel, y, c, epsilon, tol, max_steps, start)
 
         monkeypatch.setattr(svr_mod, "_solve_dual", recording)
+        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 5)
         spec = SweepSpec(varying="epsilon", grid=grid, c=2.0, gamma=0.5)
         rows = sweep(train, test, spec, SETTINGS, seed=0)
         monkeypatch.undo()
