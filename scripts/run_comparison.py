@@ -12,7 +12,7 @@ import functools
 import os
 from pathlib import Path
 
-from svrtune.cli import EXIT_OK, read_text, run_guarded
+from svrtune.cli import EXIT_OK, read_text, run_guarded, write
 from svrtune.dataset import (
     SplitSpec,
     apply_normalizer,
@@ -73,17 +73,18 @@ def configure(args: argparse.Namespace):
 
 def compare(args: argparse.Namespace, out: Path, box: ParamBox, de_config: DeConfig,
             pso_config: PsoConfig) -> int:
+    texts = {}
     if args.data:
         series = parse_csv(read_text(Path(args.data), "data"))
     else:
         series = synthetic_ohlcv(rows=args.rows, seed=args.synthetic_seed, drift=0.0)
-        (out / "data.csv").write_text(series_to_csv(series), encoding="utf-8")
+        texts["data.csv"] = series_to_csv(series)
 
     sset = build_supervised(series)
     nmap = fit_normalizer(sset, -1.0, 1.0, fit_rows=range(args.train_n))
     normed = apply_normalizer(nmap, sset)
     train, test = split(normed, SplitSpec(args.train_n, args.test_n))
-    (out / "normalizer.json").write_text(normalizer_to_json(nmap), encoding="utf-8")
+    texts["normalizer.json"] = normalizer_to_json(nmap)
 
     settings = SolverSettings(max_passes=3)
 
@@ -100,17 +101,17 @@ def compare(args: argparse.Namespace, out: Path, box: ParamBox, de_config: DeCon
         ("de", de_report, de_model),
         ("pso", pso_report, pso_model),
     ):
-        (out / f"{name}_report.json").write_text(report_to_json(report), encoding="utf-8")
-        (out / f"{name}_model.json").write_text(model_to_json(model), encoding="utf-8")
+        texts[f"{name}_report.json"] = report_to_json(report)
+        texts[f"{name}_model.json"] = model_to_json(model)
         if report.optimizer_history is not None:
-            (out / f"{name}_history.csv").write_text(
-                history_csv(report.optimizer_history), encoding="utf-8")
+            texts[f"{name}_history.csv"] = history_csv(report.optimizer_history)
 
     table = compare_report([default_report, de_report, pso_report],
                            normalizer=nmap, test=test,
                            models=[default_model, de_model, pso_model])
+    texts["predictions.csv"] = table.predictions_csv()
+    write(out, texts)  # every file serialized first: a failure leaves an earlier run whole
     print(table.render())
-    (out / "predictions.csv").write_text(table.predictions_csv(), encoding="utf-8")
     print("\nfirst five test-day predictions (price units):")
     header = ",".join(table.prediction_columns)
     print(header)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -94,33 +93,6 @@ def run_guarded(configure: Callable[[], Callable[[], int]]) -> int:
         return EXIT_COMPUTE
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved shared experiment configuration."""
-
-    data_path: Path
-    out_dir: Path
-    normalize: bool
-    x_low: float
-    x_up: float
-    train_n: int
-    test_n: int
-    fit_range: str  # "train" or "full"
-    seed: int
-    threads: int
-    settings: SolverSettings
-
-    def __post_init__(self) -> None:
-        if not self.x_up > self.x_low:
-            raise UsageError("--x-up must exceed --x-low")
-        if self.train_n < 1:
-            raise UsageError("--train-n must be >= 1")
-        if self.test_n < 0:
-            raise UsageError("--test-n must be >= 0")
-        if self.threads < 1:
-            raise UsageError("--threads must be >= 1")
-
-
 def _positive_float(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -164,21 +136,26 @@ def _fix_pair(text: str) -> tuple[str, float]:
     return name, (_nonneg_float if name == "epsilon" else _positive_float)(raw)
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="input OHLCV CSV path")
-    p.add_argument("--out", help="output directory")
+def _io_flags(p: argparse.ArgumentParser, data_help: str = "input OHLCV CSV path") -> None:
+    p.add_argument("--data", type=Path, help=data_help)
+    p.add_argument("--out", type=Path, help="output directory")
     p.add_argument("--config", help="JSON file of flag values; flags on the command line win")
+
+
+def _prepare_flags(p: argparse.ArgumentParser) -> None:
+    _io_flags(p)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=False,
                    help="min-max normalize features and target")
     p.add_argument("--x-low", type=float, default=-1.0, help="lower normalization bound")
     p.add_argument("--x-up", type=float, default=1.0, help="upper normalization bound")
     p.add_argument("--train-n", type=int, default=500, help="training rows")
-    p.add_argument("--test-n", type=int, default=200, help="test rows")
     p.add_argument("--fit-range", choices=("train", "full"), default="train",
                    help="rows the normalizer is fitted on")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="parallel fitness evaluations")
+
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
+    _prepare_flags(p)
+    p.add_argument("--test-n", type=int, default=200, help="test rows")
     p.add_argument("--kkt-tolerance", type=float, default=SolverSettings.kkt_tolerance,
                    help="solver tolerance")
     p.add_argument("--max-passes", type=int, default=SolverSettings.max_passes,
@@ -193,25 +170,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # name -> subparser, whose options a config file may set
 
-    def command(name: str, summary: str, func, options) -> argparse.ArgumentParser:
+    def command(name: str, summary: str, flags, func,
+                options=lambda args: None) -> argparse.ArgumentParser:
         # no abbreviations: --config is found before the parse, so --conf would go unread
         p = sub.add_parser(name, help=summary, allow_abbrev=False,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        _add_shared(p)
+        flags(p)
         p.set_defaults(func=func, options=options)
         return p
 
     command("ingest", "build the supervised set (and normalizer) from a CSV",
-            cmd_ingest, lambda args, cfg: None)
+            _prepare_flags, cmd_ingest)
 
-    p = command("sweep", "one-at-a-time parameter sweep to CSV", cmd_sweep, _sweep_options)
+    p = command("sweep", "one-at-a-time parameter sweep to CSV", _evaluate_flags, cmd_sweep,
+                _sweep_options)
+    # kept only because the benchmark's self-check passes it; it goes in the
+    # benchmark's next change, together with tuning.sweep's seed
+    p.add_argument("--seed", type=int, default=0, help="unused: a sweep draws nothing at random")
     p.add_argument("--vary", choices=PARAM_NAMES, required=True)
     p.add_argument("--grid", type=_grid, required=True, metavar="LO:HI:N")
     p.add_argument("--fix", type=_fix_pair, action="append", default=[],
                    metavar="NAME=VALUE", help="fixed value for a non-varying parameter")
 
     de, pso = DeConfig(), PsoConfig()
-    p = command("tune", "search (C, epsilon, gamma) with DE or PSO", cmd_tune, _tune_options)
+    p = command("tune", "search (C, epsilon, gamma) with DE or PSO", _evaluate_flags, cmd_tune,
+                _tune_options)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="parallel fitness evaluations")
     p.add_argument("--method", choices=("de", "pso"), required=True)
     p.add_argument("--preset", choices=sorted(PRESET_BOXES), help="named search box")
     p.add_argument("--c-range", type=_range_pair, metavar="LO:HI")
@@ -231,17 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmax-fraction", type=float, default=pso.v_max_fraction,
                    help="PSO velocity clamp as span fraction")
 
-    p = command("train", "train one SVR at a fixed triple", cmd_train, _train_params)
+    p = command("train", "train one SVR at a fixed triple", _evaluate_flags, cmd_train,
+                _train_options)
     p.add_argument("--c", type=_positive_float, default=DEFAULT_PARAMS.c, help="cost penalty")
     p.add_argument("--epsilon", type=_nonneg_float, default=DEFAULT_PARAMS.epsilon,
                    help="tube half-width")
     p.add_argument("--gamma", type=_positive_float, default=DEFAULT_PARAMS.kernel.gamma,
                    help="RBF width 2*sigma^2")
 
-    p = command("predict", "predict from a saved model", cmd_predict,
-                lambda args, cfg: (Path(args.model), args.normalizer))
-    p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--normalizer", help="normalizer JSON; output in original price units")
+    p = command("predict", "predict from a saved model",
+                lambda p: _io_flags(p, "supervised-set CSV, such as ingest's supervised.csv"),
+                cmd_predict)
+    p.add_argument("--model", type=Path, required=True, help="model JSON path")
+    p.add_argument("--normalizer", type=Path,
+                   help="normalizer JSON; output in original price units")
 
     return parser
 
@@ -273,27 +262,19 @@ def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
     return tokens
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The shared settings; creates the output directory."""
+def _check(args: argparse.Namespace) -> None:
+    """The checks argparse cannot make alone; creates the output directory."""
     if args.data is None:
         raise UsageError("--data is required")
     if args.out is None:
         raise UsageError("--out is required")
-    cfg = RunConfig(
-        data_path=Path(args.data),
-        out_dir=Path(args.out),
-        normalize=args.normalize,
-        x_low=args.x_low,
-        x_up=args.x_up,
-        train_n=args.train_n,
-        test_n=args.test_n,
-        fit_range=args.fit_range,
-        seed=args.seed,
-        threads=args.threads,
-        settings=SolverSettings(args.kkt_tolerance, args.max_passes),
-    )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg
+    given = vars(args)
+    if "x_low" in given and not args.x_up > args.x_low:
+        raise UsageError("--x-up must exceed --x-low")
+    for name in ("train_n", "test_n", "threads"):
+        if given.get(name, 1) < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+    args.out.mkdir(parents=True, exist_ok=True)
 
 
 def read_text(path: Path, what: str) -> str:
@@ -306,33 +287,37 @@ def read_text(path: Path, what: str) -> str:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def _load_supervised(cfg: RunConfig) -> SupervisedSet:
-    return build_supervised(parse_csv(read_text(cfg.data_path, "data")))
+def _load_supervised(args: argparse.Namespace) -> SupervisedSet:
+    return build_supervised(parse_csv(read_text(args.data, "data")))
 
 
-def _normalize(cfg: RunConfig, sset: SupervisedSet) -> tuple[SupervisedSet, NormalizationMap | None]:
-    if not cfg.normalize:
+def _normalize(args: argparse.Namespace,
+               sset: SupervisedSet) -> tuple[SupervisedSet, NormalizationMap | None]:
+    if not args.normalize:
         return sset, None
-    rows = range(cfg.train_n) if cfg.fit_range == "train" else range(len(sset))
-    nmap = fit_normalizer(sset, cfg.x_low, cfg.x_up, rows)
+    rows = range(args.train_n) if args.fit_range == "train" else range(len(sset))
+    nmap = fit_normalizer(sset, args.x_low, args.x_up, rows)
     return apply_normalizer(nmap, sset), nmap
 
 
-def _prepare(cfg: RunConfig) -> tuple[SupervisedSet, SupervisedSet, NormalizationMap | None]:
+def _prepare(args: argparse.Namespace
+             ) -> tuple[SupervisedSet, SupervisedSet, NormalizationMap | None]:
     """Ingest, optionally normalize, split."""
-    sset = _load_supervised(cfg)
-    if cfg.train_n + cfg.test_n > len(sset):
+    sset = _load_supervised(args)
+    if args.train_n + args.test_n > len(sset):
         raise DataError(
-            f"split {cfg.train_n}+{cfg.test_n} exceeds the {len(sset)} supervised rows"
+            f"split {args.train_n}+{args.test_n} exceeds the {len(sset)} supervised rows"
         )
-    if cfg.test_n < 1:
-        raise UsageError("--test-n must be >= 1 for evaluation commands")
-    sset, nmap = _normalize(cfg, sset)
-    train, test = split(sset, SplitSpec(cfg.train_n, cfg.test_n))
+    sset, nmap = _normalize(args, sset)
+    train, test = split(sset, SplitSpec(args.train_n, args.test_n))
     return train, test, nmap
 
 
-def _write(out_dir: Path, texts: dict[str, str]) -> None:
+def _settings(args: argparse.Namespace) -> SolverSettings:
+    return SolverSettings(args.kkt_tolerance, args.max_passes)
+
+
+def write(out_dir: Path, texts: dict[str, str]) -> None:
     """Write artifacts, each through a temp file moved into place. Callers
     serialize them all first, so a failure leaves the old run's files whole."""
     for name, text in texts.items():
@@ -345,47 +330,47 @@ def _write(out_dir: Path, texts: dict[str, str]) -> None:
             raise UsageError(f"cannot write {out_dir / name}: {exc}") from exc
 
 
-def cmd_ingest(cfg: RunConfig, _options: None) -> int:
-    sset = _load_supervised(cfg)
-    if cfg.normalize and cfg.train_n > len(sset):
-        raise DataError(f"--train-n {cfg.train_n} exceeds the {len(sset)} supervised rows")
-    sset, nmap = _normalize(cfg, sset)
+def cmd_ingest(args: argparse.Namespace, _options: None) -> int:
+    sset = _load_supervised(args)
+    if args.normalize and args.train_n > len(sset):
+        raise DataError(f"--train-n {args.train_n} exceeds the {len(sset)} supervised rows")
+    sset, nmap = _normalize(args, sset)
     texts = {"supervised.csv": supervised_to_csv(sset)}
     if nmap is not None:
         texts["normalizer.json"] = normalizer_to_json(nmap)
-    _write(cfg.out_dir, texts)
+    write(args.out, texts)
     print(f"supervised rows: {len(sset)} (features per row: {sset.features.shape[1]})")
     for name in texts:
-        print(f"wrote {cfg.out_dir / name}")
+        print(f"wrote {args.out / name}")
     return EXIT_OK
 
 
-def _sweep_options(args: argparse.Namespace, cfg: RunConfig):
-    """(varying parameter, grid values, fixed values given by --fix)."""
+def _sweep_options(args: argparse.Namespace):
+    """(varying parameter, grid values, fixed values given by --fix, solver settings)."""
     vary, (lo, hi, n), fixed = args.vary, args.grid, dict(args.fix)
     if vary in fixed:
         raise UsageError(f"--fix {vary} names the varying parameter")
     (_nonneg_float if vary == "epsilon" else _positive_float)(lo)  # raises if out of range
-    return vary, tuple(float(v) for v in np.linspace(lo, hi, n)), fixed
+    return vary, tuple(float(v) for v in np.linspace(lo, hi, n)), fixed, _settings(args)
 
 
-def cmd_sweep(cfg: RunConfig, options) -> int:
-    vary, grid, fixed = options
-    train, test, _ = _prepare(cfg)
+def cmd_sweep(args: argparse.Namespace, options) -> int:
+    vary, grid, fixed, settings = options
+    train, test, _ = _prepare(args)
     if "c" not in fixed and vary != "c":
         fixed["c"] = heuristic_c(train.targets)
     if "gamma" not in fixed and vary != "gamma":
         fixed["gamma"] = heuristic_gamma()
     if "epsilon" not in fixed and vary != "epsilon":
         fixed["epsilon"] = DEFAULT_PARAMS.epsilon
-    rows = sweep(train, test, SweepSpec(varying=vary, grid=grid, **fixed), cfg.settings)
-    _write(cfg.out_dir, {"sweep.csv": sweep_rows_to_csv(rows)})
-    print(f"swept {vary} over {len(rows)} grid points -> {cfg.out_dir / 'sweep.csv'}")
+    rows = sweep(train, test, SweepSpec(varying=vary, grid=grid, **fixed), settings)
+    write(args.out, {"sweep.csv": sweep_rows_to_csv(rows)})
+    print(f"swept {vary} over {len(rows)} grid points -> {args.out / 'sweep.csv'}")
     return EXIT_OK
 
 
-def _tune_options(args: argparse.Namespace, cfg: RunConfig):
-    """(search box, DE or PSO config, fitness)."""
+def _tune_options(args: argparse.Namespace):
+    """(search box, DE or PSO config, fitness, solver settings)."""
     ranges = (args.c_range, args.epsilon_range, args.gamma_range)
     if args.preset is not None and any(r is not None for r in ranges):
         raise UsageError("give either --preset or explicit ranges, not both")
@@ -397,19 +382,18 @@ def _tune_options(args: argparse.Namespace, cfg: RunConfig):
         raise UsageError("tune needs --preset or all of --c-range/--epsilon-range/--gamma-range")
     if args.method == "de":
         config = DeConfig(pop_size=args.np_size, f=args.f, cr=args.cr, strategy=args.strategy,
-                          g_max=args.gmax, seed=cfg.seed)
+                          g_max=args.gmax, seed=args.seed)
     else:
         config = PsoConfig(swarm=args.swarm, w=args.w, c1=args.c1, c2=args.c2, iters=args.iters,
-                           v_max_fraction=args.vmax_fraction, seed=cfg.seed)
-    return box, config, FitnessSpec.parse(args.fitness)
+                           v_max_fraction=args.vmax_fraction, seed=args.seed)
+    return box, config, FitnessSpec.parse(args.fitness), _settings(args)
 
 
-def cmd_tune(cfg: RunConfig, options) -> int:
-    box, config, fitness = options
-    train, test, _ = _prepare(cfg)
-    report, model = tune(train, test, box, config, fitness, cfg.settings,
-                         workers=cfg.threads)
-    _write(cfg.out_dir, {
+def cmd_tune(args: argparse.Namespace, options) -> int:
+    box, config, fitness, settings = options
+    train, test, _ = _prepare(args)
+    report, model = tune(train, test, box, config, fitness, settings, workers=args.threads)
+    write(args.out, {
         "report.json": report_to_json(report),
         "model.json": model_to_json(model),
         "history.csv": history_csv(report.optimizer_history),
@@ -423,15 +407,16 @@ def cmd_tune(cfg: RunConfig, options) -> int:
     return EXIT_OK
 
 
-def _train_params(args: argparse.Namespace, cfg: RunConfig) -> SvrParams:
-    return SvrParams(args.c, args.epsilon, KernelSpec(gamma=args.gamma))
+def _train_options(args: argparse.Namespace) -> tuple[SvrParams, SolverSettings]:
+    return SvrParams(args.c, args.epsilon, KernelSpec(gamma=args.gamma)), _settings(args)
 
 
-def cmd_train(cfg: RunConfig, params: SvrParams) -> int:
-    train, test, _ = _prepare(cfg)
+def cmd_train(args: argparse.Namespace, options: tuple[SvrParams, SolverSettings]) -> int:
+    params, settings = options
+    train, test, _ = _prepare(args)
     report, model = evaluate_triple(train, test, params.c, params.epsilon, params.kernel.gamma,
-                                    settings=cfg.settings)
-    _write(cfg.out_dir, {"model.json": model_to_json(model)})
+                                    settings=settings)
+    write(args.out, {"model.json": model_to_json(model)})
     print(
         f"svm: C={report.c:.8g} epsilon={report.epsilon:.8g} gamma={report.gamma:.8g} "
         f"train_mse={report.train_mse:.8g} test_mse={report.test_mse:.8g} "
@@ -449,14 +434,13 @@ def _read_json_file(path: Path, what: str, parse):
         raise DataError(f"malformed {what} file {path}: {exc!r}") from exc
 
 
-def cmd_predict(cfg: RunConfig, options) -> int:
-    model_path, normalizer_path = options
-    model = _read_json_file(model_path, "model", model_from_json)
-    sset, has_target = supervised_from_csv(read_text(cfg.data_path, "data"))
+def cmd_predict(args: argparse.Namespace, _options: None) -> int:
+    model = _read_json_file(args.model, "model", model_from_json)
+    sset, has_target = supervised_from_csv(read_text(args.data, "data"))
     predictions = predict_batch(model, sset.features)
     actual = sset.targets if has_target else None
-    if normalizer_path is not None:
-        nmap = _read_json_file(Path(normalizer_path), "normalizer", normalizer_from_json)
+    if args.normalizer is not None:
+        nmap = _read_json_file(args.normalizer, "normalizer", normalizer_from_json)
         predictions = invert_normalizer(nmap, sset.target_name, predictions)
         if actual is not None:
             actual = invert_normalizer(nmap, sset.target_name, actual)
@@ -467,8 +451,8 @@ def cmd_predict(cfg: RunConfig, options) -> int:
     else:
         lines = ["predicted"]
         lines.extend(jsonio.fmt_float(p) for p in predictions)
-    _write(cfg.out_dir, {"predictions.csv": "\n".join(lines) + "\n"})
-    print(f"wrote {len(predictions)} predictions -> {cfg.out_dir / 'predictions.csv'}")
+    write(args.out, {"predictions.csv": "\n".join(lines) + "\n"})
+    print(f"wrote {len(predictions)} predictions -> {args.out / 'predictions.csv'}")
     return EXIT_OK
 
 
@@ -484,9 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         path = pre.parse_known_args(argv[1:])[0].config
         tokens = _config_tokens(command, path) if command and path else []
         args = parser.parse_args([*argv[:1], *tokens, *argv[1:]])
-        cfg = _run_config(args)
-        options = args.options(args, cfg)
-        return lambda: args.func(cfg, options)
+        _check(args)
+        options = args.options(args)
+        return lambda: args.func(args, options)
 
     return run_guarded(configure)
 

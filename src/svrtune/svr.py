@@ -286,6 +286,10 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     yields the bias (midpoint), which reduces to the feasible-interval
     midpoint rule when no support vector is free. start = (beta, resid, up,
     dn, steps) resumes a solve from that state instead of from beta = 0.
+    Every fit passes a start, but the solve from zero must stay: acceptance
+    criterion 1 (tests/test_acceptance.py) and a five-point test in
+    tests/test_svr.py call it on a _DenseKernel of _kernel_matrix and compare
+    it against a reference QP solution.
 
     c and epsilon are Python floats, and a step's scalar bookkeeping (the
     window ends, the pair's coefficients, the line search, the snap to the

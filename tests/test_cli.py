@@ -31,8 +31,12 @@ def data_csv(tmp_path):
 
 
 def shared(data, out, train_n=120, test_n=50):
-    return ["--data", str(data), "--out", str(out),
-            "--train-n", str(train_n), "--test-n", str(test_n)]
+    """--data and --out, with --train-n and --test-n unless given as None."""
+    argv = ["--data", str(data), "--out", str(out)]
+    for flag, value in (("--train-n", train_n), ("--test-n", test_n)):
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
 
 
 TUNE = ["tune", "--method", "de", "--c-range", "0.5:8", "--epsilon-range", "0.02:0.1",
@@ -43,14 +47,14 @@ TUNE_WITHOUT_METHOD = [TUNE[0], *TUNE[3:]]
 class TestIngest:
     def test_writes_supervised_set(self, data_csv, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["ingest", *shared(data_csv, out)]) == 0
+        assert main(["ingest", *shared(data_csv, out, test_n=None)]) == 0
         sset, has_target = supervised_from_csv((out / "supervised.csv").read_text())
         assert has_target and len(sset) == 170
         assert "170" in capsys.readouterr().out
 
     def test_normalize_writes_invertible_map(self, data_csv, tmp_path):
         out = tmp_path / "run"
-        assert main(["ingest", *shared(data_csv, out), "--normalize"]) == 0
+        assert main(["ingest", *shared(data_csv, out, test_n=None), "--normalize"]) == 0
         nmap = normalizer_from_json((out / "normalizer.json").read_text())
         sset, _ = supervised_from_csv((out / "supervised.csv").read_text())
         # normalized targets invert to original price units
@@ -203,7 +207,7 @@ class TestTune:
         assert 1.0 <= report["optimized"]["c"] <= 60.0
 
     def test_collapsed_box_equals_direct_evaluation(self, data_csv, tmp_path):
-        from svrtune.cli import _prepare, _run_config, build_parser
+        from svrtune.cli import _prepare, build_parser
         from svrtune.svr import SolverSettings
         from svrtune.tuning import evaluate_triple
 
@@ -220,8 +224,7 @@ class TestTune:
         assert triple["c"] == pytest.approx(2.0, abs=2e-9)
         args = build_parser().parse_args(
             ["train", *shared(data_csv, out), "--normalize"])
-        args._file_config = {}
-        train, test, _ = _prepare(_run_config(args))
+        train, test, _ = _prepare(args)
         direct, _ = evaluate_triple(train, test, triple["c"], triple["epsilon"],
                                     triple["gamma"], settings=SolverSettings())
         assert report["train_mse"] == direct.train_mse
@@ -263,7 +266,7 @@ class TestTrain:
 class TestPredict:
     def test_round_trip_with_normalizer(self, data_csv, tmp_path):
         out = tmp_path / "run"
-        assert main(["ingest", *shared(data_csv, out), "--normalize"]) == 0
+        assert main(["ingest", *shared(data_csv, out, test_n=None), "--normalize"]) == 0
         assert main(["train", *shared(data_csv, out), "--normalize"]) == 0
         code = main(["predict", "--model", str(out / "model.json"),
                      "--data", str(out / "supervised.csv"),
@@ -293,7 +296,7 @@ class TestPredict:
 
     def test_missing_or_malformed_normalizer_exits_3(self, data_csv, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["ingest", *shared(data_csv, out), "--normalize"]) == 0
+        assert main(["ingest", *shared(data_csv, out, test_n=None), "--normalize"]) == 0
         assert main(["train", *shared(data_csv, out), "--normalize"]) == 0
         (tmp_path / "bad.json").write_text("{}")
         for name, message in (("nope.json", "normalizer file not found"),
@@ -306,7 +309,7 @@ class TestPredict:
 
     def test_malformed_model_exits_3(self, data_csv, tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["ingest", *shared(data_csv, out)]) == 0
+        assert main(["ingest", *shared(data_csv, out, test_n=None)]) == 0
         assert main(["train", *shared(data_csv, out)]) == 0
         doc = json.loads((out / "model.json").read_text())
         polynomial = json.dumps({**doc, "kernel": {**doc["kernel"], "kind": "polynomial"}})
@@ -332,9 +335,10 @@ def test_data_or_model_path_that_is_a_directory_exits_3(data_csv, tmp_path, caps
         command, model, data = "predict", folder, data_csv
     else:
         data = folder
-    argv = [command, *shared(data, tmp_path / "o")]
     if command == "predict":
-        argv += ["--model", str(model)]
+        argv = [command, *shared(data, tmp_path / "o", None, None), "--model", str(model)]
+    else:
+        argv = [command, *shared(data, tmp_path / "o", test_n=None if command == "ingest" else 50)]
     assert main(argv) == 3
     assert "data error: cannot read" in capsys.readouterr().err
 
@@ -393,14 +397,15 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
 
     def resolve(*argv):
         args = parser.parse_args([*argv, "--data", str(data_csv), "--out", str(tmp_path)])
-        cfg = cli._run_config(args)
-        assert cfg.settings == SolverSettings()
-        return args.options(args, cfg)
+        cli._check(args)
+        *options, settings = args.options(args)
+        assert settings == SolverSettings()
+        return options
 
     for method, expected in (("de", DeConfig(seed=0)), ("pso", PsoConfig(seed=0))):
         _, config, _ = resolve("tune", "--method", method, "--preset", "apple-normalized")
         assert config == expected
-    assert resolve("train") == DEFAULT_PARAMS
+    assert resolve("train") == [DEFAULT_PARAMS]
     resolve("sweep", "--vary", "epsilon", "--grid", "0.01:0.2:3")
     assert f"(default: {DeConfig().pop_size})" in parser.commands["tune"].format_help()
 
@@ -427,11 +432,11 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
     (["sweep", "--vary", "epsilon"], {"grid": [0.01, 0.2, 3]}),
     (TUNE_WITHOUT_METHOD, {"method": "ga"}),
     ([*TUNE, "--threads", "0"], {}),
-    (["train"], {"threads": 0}),
+    (TUNE[:-2], {"threads": 0}),
     ([*TUNE, "--fitness", "bogus"], {}),
     (["tune", "--method", "de", "--preset", "honeywell-raw", "--gmax", "1", "--threads", "1"],
      {"np_size": 4.7}),
-    (["train"], {"threads": 1.5}),
+    (TUNE[:-2], {"threads": 1.5}),
     (["tune", "--method", "de", "--epsilon-range", "0.02:0.1", "--gamma-range", "0.3:1.5",
       "--np", "5", "--gmax", "1", "--threads", "1"], {"c_range": [0.5, 8]}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
@@ -458,6 +463,59 @@ def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
+REFUSED = {
+    "ingest": ["--test-n", "--seed", "--threads", "--kkt-tolerance", "--max-passes"],
+    "sweep": ["--threads"],
+    "train": ["--seed", "--threads"],
+    "predict": ["--normalize", "--x-low", "--x-up", "--train-n", "--test-n", "--fit-range",
+                "--seed", "--threads", "--kkt-tolerance", "--max-passes"],
+}
+VALID = {"--test-n": ["50"], "--seed": ["5"], "--threads": ["1"], "--kkt-tolerance": ["0.001"],
+         "--max-passes": ["3"], "--normalize": [], "--x-low": ["-1"], "--x-up": ["1"],
+         "--train-n": ["120"], "--fit-range": ["train"]}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A walk, its supervised set and a model trained on it."""
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "prices.csv"
+    data.write_text(series_to_csv(synthetic_ohlcv(rows=171, seed=0)), encoding="utf-8")
+    assert main(["ingest", "--data", str(data), "--out", str(root)]) == 0
+    assert main(["train", *shared(data, root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command, flags in REFUSED.items() for flag in flags),
+    ("sweep", "--seed"),
+])
+def test_each_command_refuses_the_flags_it_does_not_read(trained, tmp_path, capsys, command, flag):
+    """A flag that a command would not read is refused (exit 2, nothing written).
+    sweep keeps --seed, which draws nothing: the sweep is the same without it."""
+    data = str(trained / "prices.csv")
+    split = ["--data", data, "--train-n", "120", "--test-n", "50"]
+    base = {
+        "ingest": ["ingest", "--data", data],
+        "sweep": ["sweep", *split, "--vary", "epsilon", "--grid", "0.01:0.2:3"],
+        "train": ["train", *split],
+        "predict": ["predict", "--data", str(trained / "supervised.csv"),
+                    "--model", str(trained / "model.json")],
+    }[command]
+    out = tmp_path / "o"
+    argv = [*base, "--out", str(out), flag, *VALID[flag]]
+    if flag in REFUSED[command]:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert main(argv) == 0
+        assert main([*base, "--out", str(tmp_path / "plain")]) == 0
+        assert (out / "sweep.csv").read_bytes() == (tmp_path / "plain" / "sweep.csv").read_bytes()
+
+
 @pytest.mark.parametrize("fitness, extra, code", [
     ("kfold:2", [], 0), ("bogus", [], 2), ("holdout:abc", [], 2),
     ("kfold:2", ["--np", "2"], 2), ("kfold:2", ["--train-n", "5000"], 3),
@@ -477,6 +535,26 @@ def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, ext
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert (out / "de_report.json").exists() == (code == 0)
+
+
+def test_failed_comparison_leaves_the_previous_run_whole(tmp_path):
+    """run_comparison.py writes nothing until every file is serialized, so a
+    run that fails keeps an earlier run's files in the same --out, data.csv too."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_comparison.py"
+    src = str(Path(svrtune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "cmp"
+    argv = [sys.executable, str(script), "--rows", "120", "--train-n", "80", "--test-n", "30",
+            "--np", "4", "--gmax", "1", "--swarm", "2", "--iters", "1", "--threads", "1",
+            "--out", str(out)]
+    first = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert first.returncode == 0, first.stderr
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert "data.csv" in before
+    failed = subprocess.run([*argv, "--synthetic-seed", "1", "--train-n", "5000"], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert failed.returncode == 3, failed.stderr
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestSplitValidation:
