@@ -332,7 +332,7 @@ def write(out_dir: Path, texts: dict[str, str]) -> None:
 
 def cmd_ingest(args: argparse.Namespace, _options: None) -> int:
     sset = _load_supervised(args)
-    if args.normalize and args.train_n > len(sset):
+    if args.normalize and args.fit_range == "train" and args.train_n > len(sset):
         raise DataError(f"--train-n {args.train_n} exceeds the {len(sset)} supervised rows")
     sset, nmap = _normalize(args, sset)
     texts = {"supervised.csv": supervised_to_csv(sset)}

@@ -278,7 +278,9 @@ def de_optimize(objective: Callable, space: SearchSpace, config: DeConfig,
     """Generational DE with greedy one-to-one replacement (trial wins ties).
 
     Trials are clamped to the box after crossover. Exactly
-    pop_size * (g_max + 1) objective evaluations are made.
+    pop_size * (g_max + 1) objective evaluations are made, and the result's
+    evaluations counts them all: points scored, whether or not the objective
+    answered a repeated point from a memo.
     """
     evaluate = _Evaluator(objective, workers)
     try:
@@ -320,7 +322,9 @@ def pso_optimize(objective: Callable, space: SearchSpace, config: PsoConfig,
     v <- w v + c1 r1 (pbest - x) + c2 r2 (gbest - x), x <- x + v, with
     velocities clamped to +/- v_max_fraction * span and positions to the box.
     Personal and global bests update on strict improvement. Exactly
-    swarm * (iters + 1) objective evaluations are made.
+    swarm * (iters + 1) objective evaluations are made, and the result's
+    evaluations counts them all: points scored, whether or not the objective
+    answered a repeated point from a memo.
     """
     evaluate = _Evaluator(objective, workers)
     try:

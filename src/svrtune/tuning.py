@@ -262,6 +262,11 @@ class SvrObjective:
     repeated calls only pay for the kernel map and the dual solve.
     evaluate_batch scores a whole population with one lockstep solve per
     split; calling the objective on one point is evaluate_batch([x])[0].
+
+    The fitness is a pure function of the triple, so the objective keeps a
+    memo of every value it has scored, keyed by the triple's float64 bytes
+    (epsilon 0.0 and -0.0 are two keys), and fits each triple once in its
+    lifetime. Each pool worker's copy keeps its own memo.
     """
 
     kernel_kind = "rbf"
@@ -298,6 +303,7 @@ class SvrObjective:
         rows = np.arange(n)
         self._splits = self._folds or [(rows, rows)]
         self.geometry = KernelGeometry(self.features)
+        self._memo: dict[bytes, float] = {}
 
     def fold_indices(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
         return self._folds
@@ -306,19 +312,25 @@ class SvrObjective:
         return self.evaluate_batch([x])[0]
 
     def evaluate_batch(self, points) -> list[float]:
-        """The fitness at each point, in order; one batched fit per split
-        serves them all, equal bit for bit to fitting each point alone."""
+        """The fitness at each point, in order. The triples not yet in the
+        memo are fitted once each, in first-seen order, by one batched fit
+        per split, equal bit for bit to fitting each point alone."""
+        keys = [np.asarray(x, dtype=np.float64).ravel().tobytes() for x in points]
+        new = list(dict.fromkeys(key for key in keys if key not in self._memo))
         params = []
-        for x in points:
-            c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
+        for key in new:
+            c, epsilon, gamma = (float(v) for v in np.frombuffer(key))
             params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
-        totals = [0.0] * len(params)
-        for fit, val in self._splits:
-            models = train_svr_batch(self.features[fit], self.targets[fit], params, self.settings,
-                                     geometry=self.geometry.subset(fit))
-            for k, model in enumerate(models):
-                totals[k] += mse(self.targets[val], predict_batch(model, self.features[val]))
-        return [total / len(self._splits) for total in totals]
+        if params:
+            totals = [0.0] * len(params)
+            for fit, val in self._splits:
+                models = train_svr_batch(self.features[fit], self.targets[fit], params,
+                                         self.settings, geometry=self.geometry.subset(fit))
+                for k, model in enumerate(models):
+                    totals[k] += mse(self.targets[val], predict_batch(model, self.features[val]))
+            for key, total in zip(new, totals):
+                self._memo[key] = total / len(self._splits)
+        return [self._memo[key] for key in keys]
 
 
 def make_fitness(train: SupervisedSet, spec: FitnessSpec, kernel_kind: str = "rbf",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import svrtune
 import svrtune.cli as cli
+import svrtune.tuning as tuning
 from svrtune.cli import main
 from svrtune.dataset import (
     normalizer_from_json,
@@ -62,6 +64,17 @@ class TestIngest:
         original_targets = np.array([b.close for b in raw.rows[1:]])
         back = invert_normalizer(nmap, "next_close", sset.targets)
         np.testing.assert_allclose(back, original_targets, rtol=1e-12)
+
+    def test_train_n_is_read_only_under_fit_range_train(self, data_csv, tmp_path):
+        outputs = {}
+        for train_n in ("120", "5000"):
+            out = tmp_path / train_n
+            assert main(["ingest", *shared(data_csv, out, train_n=train_n, test_n=None),
+                         "--normalize", "--fit-range", "full"]) == 0
+            outputs[train_n] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert outputs["5000"] == outputs["120"]
+        assert main(["ingest", *shared(data_csv, tmp_path / "o", train_n="5000", test_n=None),
+                     "--normalize", "--fit-range", "train"]) == 3
 
     def test_malformed_csv_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -148,6 +161,30 @@ class TestTune:
         assert main([*base, "--out", str(tmp_path / "b"), "--threads", "2"]) == 0
         for name in ("report.json", "model.json", "history.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_repeated_points_keep_pinned_outputs(self, data_csv, tmp_path, monkeypatch):
+        # the box clip piles the swarm onto corners: 72 points, 46 triples.
+        # The digests were recorded before SvrObjective kept a memo of its
+        # values; a repeated point must score as a fresh fit would
+        base = ["tune", *shared(data_csv, tmp_path / "run"), "--normalize", "--method", "pso",
+                "--c-range", "0.5:8", "--epsilon-range", "0.02:0.1", "--gamma-range", "0.3:1.5",
+                "--swarm", "8", "--iters", "8", "--max-passes", "3"]
+        scored = []
+        evaluate_batch = tuning.SvrObjective.evaluate_batch
+
+        def recording(objective, points):
+            scored.extend(np.asarray(x, dtype=np.float64).tobytes() for x in points)
+            return evaluate_batch(objective, points)
+
+        monkeypatch.setattr(tuning.SvrObjective, "evaluate_batch", recording)
+        digests = {"report.json": "6bca1461a66b0e1a98beb848fce777953355def58c8d3527bff8b1d4fcf34acb",
+                   "history.csv": "a06d266acc8edebc625dad13df916e04301a0928cca180836fea5d2ee291c977"}
+        for threads in ("1", "2"):
+            assert main([*base, "--threads", threads]) == 0
+            for name, digest in digests.items():
+                assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == digest
+        # only the serial run scores in this process
+        assert (len(scored), len(set(scored))) == (72, 46)
 
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path):
         # PSO on the 701-row walk with the train-mse fitness and a binding

@@ -1,10 +1,22 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import svrtune.svr as svr_mod
+import svrtune.tuning as tuning
 from svrtune.dataset import SplitSpec, SupervisedSet, apply_normalizer, fit_normalizer, invert_normalizer, split
 from svrtune.optim import DeConfig, PsoConfig
-from svrtune.svr import DEFAULT_PARAMS, KernelSpec, SolverSettings, SvrParams, mse, predict_batch, train_svr
+from svrtune.svr import (
+    DEFAULT_PARAMS,
+    KernelSpec,
+    SolverSettings,
+    SvrParams,
+    mse,
+    predict_batch,
+    train_svr,
+    train_svr_batch,
+)
 from svrtune.tuning import (
     PRESET_BOXES,
     FitnessSpec,
@@ -210,12 +222,44 @@ class TestMakeFitness:
                 total += mse(train.targets[val], predict_batch(model, train.features[val]))
             assert objective(np.array([1.0, 0.1, 0.2])) == total / len(objective.fold_indices())
         # a population scored in one lockstep batch equals its points scored
-        # one by one
+        # one by one, each by a fresh objective (so no memo is shared)
         monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 2)
         points = np.array([[1.0, 0.1, 0.2], [40.0, 0.01, 3.0], [300.0, 0.2, 0.5]])
+        settings = SolverSettings(max_passes=3)
         for spec in (FitnessSpec.train_mse(), FitnessSpec.holdout(0.25), FitnessSpec.kfold(4)):
-            objective = make_fitness(train, spec, settings=SolverSettings(max_passes=3))
-            assert objective.evaluate_batch(points) == [objective(x) for x in points]
+            objective = make_fitness(train, spec, settings=settings)
+            assert objective.evaluate_batch(points) == [
+                make_fitness(train, spec, settings=settings)(x) for x in points]
+
+    @pytest.mark.parametrize("spec", [FitnessSpec.train_mse(), FitnessSpec.holdout(0.25),
+                                      FitnessSpec.kfold(4)],
+                             ids=["train-mse", "holdout", "kfold"])
+    def test_memo_fits_each_triple_once(self, monkeypatch, spec):
+        train, _ = wave_split(seed=4)
+        settings = SolverSettings(max_passes=3)
+        fitted = []
+
+        def counting(features, targets, params_seq, *args, **kwargs):
+            fitted.extend(np.array([p.c, p.epsilon, p.kernel.gamma]).tobytes()
+                          for p in params_seq)
+            return train_svr_batch(features, targets, params_seq, *args, **kwargs)
+
+        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 2)
+        monkeypatch.setattr(tuning, "train_svr_batch", counting)
+        objective = make_fitness(train, spec, settings=settings)
+        # a duplicate inside the first batch; the second repeats a triple the
+        # first scored and holds epsilon 0.0 beside -0.0, which are two keys
+        batches = [[[1.0, 0.1, 0.2], [40.0, 0.01, 3.0], [1.0, 0.1, 0.2], [300.0, 0.2, 0.5]],
+                   [[40.0, 0.01, 3.0], [5.0, 0.0, 0.7], [5.0, -0.0, 0.7], [5.0, 0.0, 0.7]]]
+        values = [objective.evaluate_batch(np.array(batch)) for batch in batches]
+        monkeypatch.undo()
+        for batch, got in zip(batches, values):
+            assert got == [make_fitness(train, spec, settings=settings)(np.array(x))
+                           for x in batch]
+        keys = [np.array(x).tobytes() for batch in batches for x in batch]
+        splits = len(objective.fold_indices() or [None])
+        assert len(set(keys)) == 5
+        assert Counter(fitted) == {key: splits for key in keys}
 
     def test_kfold_blocks_are_contiguous(self):
         feats = np.random.default_rng(1).normal(size=(500, 5))
@@ -238,7 +282,7 @@ class TestMakeFitness:
         train, _ = wave_split(seed=6)
         objective = make_fitness(train, FitnessSpec.train_mse(), settings=SETTINGS)
         x = np.array([3.0, 0.02, 0.7])
-        assert objective(x) == objective(x)
+        assert objective(x) == make_fitness(train, FitnessSpec.train_mse(), settings=SETTINGS)(x)
 
     def test_rbf_is_the_only_kernel_kind(self):
         sset = wave_set(41, seed=5)
