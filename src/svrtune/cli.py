@@ -93,20 +93,6 @@ def run_guarded(configure: Callable[[], Callable[[], int]]) -> int:
         return EXIT_COMPUTE
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return value
-
-
 def _grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -114,8 +100,8 @@ def _grid(text: str) -> tuple[float, float, int]:
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
         raise argparse.ArgumentTypeError("grid point count must be >= 1")
-    if not hi > lo:
-        raise argparse.ArgumentTypeError("grid needs hi > lo")
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise argparse.ArgumentTypeError("grid needs finite lo and hi with hi > lo")
     return lo, hi, n
 
 
@@ -133,7 +119,7 @@ def _fix_pair(text: str) -> tuple[str, float]:
     name = name.strip().lower()
     if name not in PARAM_NAMES:
         raise argparse.ArgumentTypeError("--fix name must be c, epsilon or gamma")
-    return name, (_nonneg_float if name == "epsilon" else _positive_float)(raw)
+    return name, float(raw)
 
 
 def _io_flags(p: argparse.ArgumentParser, data_help: str = "input OHLCV CSV path") -> None:
@@ -219,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", "train one SVR at a fixed triple", _evaluate_flags, cmd_train,
                 _train_options)
-    p.add_argument("--c", type=_positive_float, default=DEFAULT_PARAMS.c, help="cost penalty")
-    p.add_argument("--epsilon", type=_nonneg_float, default=DEFAULT_PARAMS.epsilon,
+    p.add_argument("--c", type=float, default=DEFAULT_PARAMS.c, help="cost penalty")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_PARAMS.epsilon,
                    help="tube half-width")
-    p.add_argument("--gamma", type=_positive_float, default=DEFAULT_PARAMS.kernel.gamma,
+    p.add_argument("--gamma", type=float, default=DEFAULT_PARAMS.kernel.gamma,
                    help="RBF width 2*sigma^2")
 
     p = command("predict", "predict from a saved model",
@@ -348,13 +334,12 @@ def cmd_ingest(args: argparse.Namespace, _options: None) -> int:
 def _sweep_options(args: argparse.Namespace):
     """(varying parameter, grid values, fixed values given by --fix, solver settings)."""
     vary, (lo, hi, n), fixed = args.vary, args.grid, dict(args.fix)
-    if vary in fixed:
-        raise UsageError(f"--fix {vary} names the varying parameter")
-    (_nonneg_float if vary == "epsilon" else _positive_float)(lo)  # raises if out of range
     return vary, tuple(float(v) for v in np.linspace(lo, hi, n)), fixed, _settings(args)
 
 
 def cmd_sweep(args: argparse.Namespace, options) -> int:
+    """The default C comes from the training targets, so the sweep's values
+    are checked once the data is read, still before any fit."""
     vary, grid, fixed, settings = options
     train, test, _ = _prepare(args)
     if "c" not in fixed and vary != "c":
@@ -363,7 +348,11 @@ def cmd_sweep(args: argparse.Namespace, options) -> int:
         fixed["gamma"] = heuristic_gamma()
     if "epsilon" not in fixed and vary != "epsilon":
         fixed["epsilon"] = DEFAULT_PARAMS.epsilon
-    rows = sweep(train, test, SweepSpec(varying=vary, grid=grid, **fixed), settings)
+    try:
+        spec = SweepSpec(varying=vary, grid=grid, **fixed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    rows = sweep(train, test, spec, settings)
     write(args.out, {"sweep.csv": sweep_rows_to_csv(rows)})
     print(f"swept {vary} over {len(rows)} grid points -> {args.out / 'sweep.csv'}")
     return EXIT_OK

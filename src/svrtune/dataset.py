@@ -267,8 +267,6 @@ def fit_normalizer(
     leaking test-set scale into the model; pass the full range to mirror a
     whole-dataset fit instead.
     """
-    if not x_up > x_low:
-        raise DataError("x_up must exceed x_low")
     if fit_rows is None:
         idx = np.arange(len(sset))
     else:

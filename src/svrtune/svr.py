@@ -103,13 +103,18 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class SvrParams:
+    """One SVR's parameters, and the one place their rules are stated: C is
+    finite and above SV_THRESHOLD (every |beta| <= C, so below it no support
+    vector is kept) and epsilon finite and >= 0; KernelSpec states gamma's."""
+
     c: float
     epsilon: float
     kernel: KernelSpec
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError("c must be finite and > 0")
+        if not (np.isfinite(self.c) and self.c > SV_THRESHOLD):
+            raise ValueError(f"c must be finite and above {SV_THRESHOLD:g}: at or below it a "
+                             "model keeps no support vector and predicts a constant")
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be finite and >= 0")
 
@@ -511,9 +516,10 @@ def _solve_dual_batch(geometry: KernelGeometry, y: np.ndarray, c: np.ndarray,
             i, j, ki, pair, best_d = i[keep], j[keep], ki[keep], pair[keep], best_d[keep]
             fij = np.stack((at + i, at + j), axis=1)
         new = pair + best_d[:, None] * sign
-        # both tests read the unsnapped values, as the scalar if/elif does
+        # both tests read the unsnapped values, as the scalar if/elif does; as
+        # C > SV_THRESHOLD exceeds the snap margin, the two windows are apart
         to_top = new > top[:, None]
-        to_bottom = ~to_top & (new < bottom[:, None])
+        to_bottom = new < bottom[:, None]
         np.copyto(new, c[:, None], where=to_top)
         np.copyto(new, neg_c[:, None], where=to_bottom)
         coef = new - pair

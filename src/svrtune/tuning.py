@@ -19,7 +19,6 @@ from . import jsonio
 from .dataset import NormalizationMap, SupervisedSet, invert_normalizer
 from .optim import DeConfig, OptResult, PsoConfig, SearchSpace, de_optimize, pso_optimize
 from .svr import (
-    SV_THRESHOLD,
     KernelGeometry,
     KernelSpec,
     SolverSettings,
@@ -58,23 +57,16 @@ METHOD_ORDER = {"svm_default": 0, "de_svm": 1, "pso_svm": 2}
 
 @dataclass(frozen=True)
 class ParamBox:
-    """Bounded 3-D search region for (C, epsilon, gamma)."""
+    """Bounded 3-D search region for (C, epsilon, gamma): each range finite
+    with hi > lo (SearchSpace's rule), and its low corner legal SvrParams."""
 
     c_range: tuple[float, float]
     epsilon_range: tuple[float, float]
     gamma_range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in (("c", self.c_range), ("gamma", self.gamma_range)):
-            if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo > 0):
-                raise ValueError(f"{name}_range must satisfy hi > lo > 0")
-        lo, hi = self.epsilon_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo >= 0):
-            raise ValueError("epsilon_range must satisfy hi > lo >= 0")
-        if self.c_range[0] <= SV_THRESHOLD:
-            # every |beta| <= C, so no model in the box keeps a support vector
-            raise ValueError(f"c_range must start above {SV_THRESHOLD:g}: below it a model "
-                             "keeps no support vector and predicts a constant")
+        self.to_search_space()
+        SvrParams(self.c_range[0], self.epsilon_range[0], KernelSpec(gamma=self.gamma_range[0]))
 
     def to_search_space(self) -> SearchSpace:
         return SearchSpace((
@@ -84,9 +76,7 @@ class ParamBox:
         ))
 
     def contains(self, c: float, epsilon: float, gamma: float) -> bool:
-        return (self.c_range[0] <= c <= self.c_range[1]
-                and self.epsilon_range[0] <= epsilon <= self.epsilon_range[1]
-                and self.gamma_range[0] <= gamma <= self.gamma_range[1])
+        return self.to_search_space().contains((c, epsilon, gamma))
 
 
 # ready-made boxes for the daily-price experiments these defaults mirror
@@ -140,7 +130,11 @@ class FitnessSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-at-a-time grid: vary one of (c, epsilon, gamma), fix the others."""
+    """One-at-a-time grid: vary one of (c, epsilon, gamma), fix the others.
+
+    The grid is non-empty and strictly increasing, and every grid value with
+    the fixed values must make legal SvrParams; params() builds them.
+    """
 
     varying: str
     grid: tuple[float, ...]
@@ -161,11 +155,21 @@ class SweepSpec:
         for name in PARAM_NAMES:
             if name != self.varying and getattr(self, name) is None:
                 raise ValueError(f"missing fixed value for {name!r}")
+        self.params()
 
-    def triple_at(self, value: float) -> tuple[float, float, float]:
+    def params(self) -> list[SvrParams]:
+        """The SvrParams at each grid value, in grid order; the ValueError of
+        one that SvrParams rejects names the grid value and the parameter."""
         vals = {name: getattr(self, name) for name in PARAM_NAMES}
-        vals[self.varying] = value
-        return float(vals["c"]), float(vals["epsilon"]), float(vals["gamma"])
+        out = []
+        for value in self.grid:
+            vals[self.varying] = value
+            c, epsilon, gamma = (float(vals[name]) for name in PARAM_NAMES)
+            try:
+                out.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
+            except ValueError as exc:
+                raise ValueError(f"{self.varying} grid value {value}: {exc}") from exc
+        return out
 
 
 @dataclass(frozen=True)
@@ -222,14 +226,7 @@ def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
         raise ValueError("train set is empty")
     if len(test) == 0:
         raise ValueError("test set is empty")
-    params = []
-    for value in spec.grid:
-        c, epsilon, gamma = spec.triple_at(value)
-        try:
-            params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
-        except ValueError as exc:
-            raise RuntimeError(f"solver failed at grid value {value}") from exc
-    models = train_svr_batch(train.features, train.targets, params, settings)
+    models = train_svr_batch(train.features, train.targets, spec.params(), settings)
     return [SweepRow(value=float(value),
                      train_mse=mse(train.targets, predict_batch(model, train.features)),
                      test_mse=mse(test.targets, predict_batch(model, test.features)),

@@ -295,9 +295,9 @@ class TestTrain:
         assert [path.name for path in out.iterdir()] == ["model.json"]
 
     def test_invalid_c_exits_2(self, data_csv, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["train", *shared(data_csv, tmp_path / "o"), "--c", "0"])
-        assert err.value.code == 2
+        out = tmp_path / "o"
+        assert main(["train", *shared(data_csv, out), "--c", "0"]) == 2
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestPredict:
@@ -350,8 +350,9 @@ class TestPredict:
         assert main(["train", *shared(data_csv, out)]) == 0
         doc = json.loads((out / "model.json").read_text())
         polynomial = json.dumps({**doc, "kernel": {**doc["kernel"], "kind": "polynomial"}})
+        tiny_c = json.dumps({**doc, "c": 1e-11})
         del doc["bias"]
-        for text in ('{"kernel": 1}', json.dumps(doc), "{not json", polynomial):
+        for text in ('{"kernel": 1}', json.dumps(doc), "{not json", polynomial, tiny_c):
             (tmp_path / "bad.json").write_text(text)
             assert main(["predict", "--model", str(tmp_path / "bad.json"),
                          "--data", str(out / "supervised.csv"), "--out", str(out)]) == 3
@@ -476,15 +477,25 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
     (TUNE[:-2], {"threads": 1.5}),
     (["tune", "--method", "de", "--epsilon-range", "0.02:0.1", "--gamma-range", "0.3:1.5",
       "--np", "5", "--gmax", "1", "--threads", "1"], {"c_range": [0.5, 8]}),
+    (["train", "--c", "1e-300"], {}),
+    (["train", "--c", "1e-9"], {}),
+    (["sweep", "--vary", "epsilon", "--grid", "0.01:0.2:3", "--fix", "c=inf"], {}),
+    (["sweep", "--vary", "c", "--grid", "0.5:8:3", "--fix", "epsilon=inf"], {}),
+    (["sweep", "--vary", "epsilon", "--grid", "0.01:inf:3"], {}),
+    (["sweep", "--vary", "c", "--grid", "1e-300:1:3"], {}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
         "out-under-a-file", "config-normalize-string", "c-range-below-sv-threshold",
         "sweep-without-vary", "sweep-without-grid", "tune-without-method", "config-vary-delta",
         "config-grid-list", "config-method-ga", "threads-0", "config-threads-0",
-        "fitness-unknown", "config-np-size-4.7", "config-threads-1.5", "config-c-range-list"])
+        "fitness-unknown", "config-np-size-4.7", "config-threads-1.5", "config-c-range-list",
+        "train-c-1e-300", "train-c-1e-9", "fix-c-inf", "fix-epsilon-inf", "grid-hi-inf",
+        "grid-c-1e-300"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range
-    is a usage error, reported before any model is fitted."""
+    is a usage error, reported before any model is fitted and without a
+    numpy warning."""
     (tmp_path / "file").write_text("")
     path = tmp_path / "run.json"
     path.write_text(config if isinstance(config, str)

@@ -134,6 +134,11 @@ class TestNormalizer:
         with pytest.raises(DataError):
             fit_normalizer(sset, -1.0, 1.0, fit_rows=[])
 
+    def test_bounds_rejected_by_the_map(self):
+        sset = make_set([[1, 1, 1, 1, 1]], [1])
+        with pytest.raises(DataError, match="x_up must exceed x_low"):
+            fit_normalizer(sset, 1.0, 1.0)
+
     def test_midpoint_maps_to_center(self):
         sset = make_set([[10, 0, 0, 0, 0], [20, 1, 1, 1, 1]], [0, 1])
         nmap = fit_normalizer(sset, -1.0, 1.0)

@@ -236,10 +236,7 @@ def test_batch_equals_scalar(monkeypatch, lazy, rows, count, lockstep_min):
 @pytest.mark.parametrize("seed, triples", [
     (28, [(5.0, 0.1, 20.0), (0.5, 0.01, 1.0)]),  # a step lands 8.9e-16 below -C
     (14, [(3.0, 0.0, 20.0), (0.5, 0.01, 1.0)]),  # a step lands 4.4e-16 below C
-    # C below 5e-11: the snap margin exceeds 2C, so both snap windows
-    # overlap and the upper one must win, as in the scalar if/elif
-    (3, [(1e-11, 0.01, 1.0), (4e-11, 0.01, 1.0), (0.5, 0.01, 1.0)]),
-], ids=["lower", "upper", "tiny-c"])
+], ids=["lower", "upper"])
 def test_batch_snaps_to_the_box_as_scalar(monkeypatch, seed, triples):
     """Steps that land within the snap margin of a box edge are snapped onto
     it; the lockstep loop must snap exactly as the scalar loop does."""
@@ -249,6 +246,16 @@ def test_batch_snaps_to_the_box_as_scalar(monkeypatch, seed, triples):
     scalar = scalar_fits(monkeypatch, X, y, params, settings)
     monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 1)
     assert all(map(models_equal, train_svr_batch(X, y, params, settings), scalar))
+
+
+def test_c_must_exceed_the_sv_threshold():
+    """A C at or below SV_THRESHOLD bounds every |beta| by it, so no model
+    keeps a support vector (and at C 1e-11 the solve ends with bias -inf):
+    SvrParams refuses it, and takes the next double above."""
+    for c in (1e-11, 4e-11, svr_mod.SV_THRESHOLD):
+        with pytest.raises(ValueError, match="support vector"):
+            SvrParams(c=c, epsilon=0.01, kernel=RBF)
+    SvrParams(c=float(np.nextafter(svr_mod.SV_THRESHOLD, 1.0)), epsilon=0.01, kernel=RBF)
 
 
 def test_last_fits_finish_in_the_scalar_loop(monkeypatch):

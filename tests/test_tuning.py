@@ -133,10 +133,8 @@ class TestSweep:
             assert row.n_sv == model.n_sv
 
     def test_grid_value_the_params_reject_names_it(self):
-        train, test = wave_split()
-        spec = SweepSpec("c", (0.0, 1.0), epsilon=0.05, gamma=0.5)
-        with pytest.raises(RuntimeError, match="grid value 0.0"):
-            sweep(train, test, spec, SETTINGS)
+        with pytest.raises(ValueError, match="grid value 0.0"):
+            SweepSpec("c", (0.0, 1.0), epsilon=0.05, gamma=0.5)
 
     def test_duplicate_grid_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
