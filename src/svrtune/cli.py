@@ -426,22 +426,14 @@ def _read_json_file(path: Path, what: str, parse):
 def cmd_predict(args: argparse.Namespace, _options: None) -> int:
     model = _read_json_file(args.model, "model", model_from_json)
     sset, has_target = supervised_from_csv(read_text(args.data, "data"))
-    predictions = predict_batch(model, sset.features)
-    actual = sset.targets if has_target else None
+    columns = {"actual": sset.targets} if has_target else {}
+    columns["predicted"] = predict_batch(model, sset.features)
     if args.normalizer is not None:
         nmap = _read_json_file(args.normalizer, "normalizer", normalizer_from_json)
-        predictions = invert_normalizer(nmap, sset.target_name, predictions)
-        if actual is not None:
-            actual = invert_normalizer(nmap, sset.target_name, actual)
-    if actual is not None:
-        lines = ["actual,predicted"]
-        for a, p in zip(actual, predictions):
-            lines.append(f"{jsonio.fmt_float(a)},{jsonio.fmt_float(p)}")
-    else:
-        lines = ["predicted"]
-        lines.extend(jsonio.fmt_float(p) for p in predictions)
-    write(args.out, {"predictions.csv": "\n".join(lines) + "\n"})
-    print(f"wrote {len(predictions)} predictions -> {args.out / 'predictions.csv'}")
+        columns = {name: invert_normalizer(nmap, sset.target_name, values)
+                   for name, values in columns.items()}
+    write(args.out, {"predictions.csv": jsonio.csv_text(columns, zip(*columns.values()))})
+    print(f"wrote {len(sset)} predictions -> {args.out / 'predictions.csv'}")
     return EXIT_OK
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -86,9 +87,9 @@ class RawSeries:
                 raise DataError(f"dates not strictly increasing at {bar.day}")
             prev = bar.day
             prices = (bar.open, bar.high, bar.low, bar.close, bar.adj_close)
-            if not all(np.isfinite(p) and p > 0 for p in prices):
+            if not all(math.isfinite(p) and p > 0 for p in prices):
                 raise DataError(f"non-positive or non-finite price on {bar.day}")
-            if not (np.isfinite(bar.volume) and bar.volume >= 0):
+            if not (math.isfinite(bar.volume) and bar.volume >= 0):
                 raise DataError(f"negative or non-finite volume on {bar.day}")
             if bar.high < max(bar.open, bar.close, bar.low):
                 raise DataError(f"high below open/close/low on {bar.day}")
@@ -186,6 +187,18 @@ def _normalize_header(name: str) -> str:
     return _HEADER_ALIASES.get(key, key)
 
 
+def _read_rows(source: str | TextIO | Iterable[str]) -> tuple[list[str], Iterator]:
+    """The header row, then (file row number, row) for each row that is not
+    blank, numbered as the file is with the header as row 1."""
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty input: no header row") from None
+    return header, ((rownum, row) for rownum, row in enumerate(reader, start=2)
+                    if any(cell.strip() for cell in row))
+
+
 def parse_csv(source: str | TextIO | Iterable[str]) -> RawSeries:
     """Parse an OHLCV CSV into a date-ascending RawSeries.
 
@@ -195,13 +208,7 @@ def parse_csv(source: str | TextIO | Iterable[str]) -> RawSeries:
     any order and are sorted ascending. Errors name the offending file row,
     counting the header as row 1.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty input: no header row") from None
+    header, rows = _read_rows(source)
     positions: dict[str, int] = {}
     for idx, cell in enumerate(header):
         key = _normalize_header(cell)
@@ -213,11 +220,7 @@ def parse_csv(source: str | TextIO | Iterable[str]) -> RawSeries:
 
     bars: list[Bar] = []
     seen: dict[date, int] = {}
-    rownum = 1
-    for row in reader:
-        rownum += 1
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for rownum, row in rows:
         if len(row) < len(header):
             raise DataError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
         raw_date = row[positions["date"]].strip()
@@ -229,7 +232,7 @@ def parse_csv(source: str | TextIO | Iterable[str]) -> RawSeries:
             raise DataError(f"row {rownum}: duplicate date {day} (first seen at row {seen[day]})")
         seen[day] = rownum
         values = {}
-        for col in ("open", "high", "low", "close", "adj_close", "volume"):
+        for col in _REQUIRED[1:]:
             cell = row[positions[col]].strip()
             try:
                 values[col] = float(cell)
@@ -340,21 +343,13 @@ def split(sset: SupervisedSet, spec: SplitSpec) -> tuple[SupervisedSet, Supervis
 # --- file formats -----------------------------------------------------------
 
 def series_to_csv(series: RawSeries) -> str:
-    lines = ["date,open,high,low,close,adj_close,volume"]
-    for b in series.rows:
-        vals = ",".join(jsonio.fmt_float(v) for v in (b.open, b.high, b.low, b.close, b.adj_close, b.volume))
-        lines.append(f"{b.day.isoformat()},{vals}")
-    return "\n".join(lines) + "\n"
+    return jsonio.csv_text(_REQUIRED, ((b.day, b.open, b.high, b.low, b.close, b.adj_close,
+                                        b.volume) for b in series.rows))
 
 
 def supervised_to_csv(sset: SupervisedSet) -> str:
-    header = ",".join(sset.column_names + (sset.target_name,))
-    lines = [header]
-    for k in range(len(sset)):
-        row = [jsonio.fmt_float(v) for v in sset.features[k]]
-        row.append(jsonio.fmt_float(sset.targets[k]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return jsonio.csv_text(sset.column_names + (sset.target_name,),
+                           ((*x, y) for x, y in zip(sset.features, sset.targets)))
 
 
 def supervised_from_csv(text: str) -> tuple[SupervisedSet, bool]:
@@ -363,11 +358,7 @@ def supervised_from_csv(text: str) -> tuple[SupervisedSet, bool]:
     Returns (set, has_target). The target column is optional; when absent,
     targets are zero-filled and has_target is False.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise DataError("empty input: no header row") from None
+    header, rows = _read_rows(text)
     lookup = {_normalize_header(h): i for i, h in enumerate(header)}
     missing = [c for c in FEATURE_COLUMNS if c not in lookup]
     if missing:
@@ -375,11 +366,7 @@ def supervised_from_csv(text: str) -> tuple[SupervisedSet, bool]:
     has_target = TARGET_COLUMN in lookup
     feats: list[list[float]] = []
     targs: list[float] = []
-    rownum = 1
-    for row in reader:
-        rownum += 1
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for rownum, row in rows:
         try:
             feats.append([float(row[lookup[c]]) for c in FEATURE_COLUMNS])
             targs.append(float(row[lookup[TARGET_COLUMN]]) if has_target else 0.0)

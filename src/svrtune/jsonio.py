@@ -1,19 +1,26 @@
-"""Deterministic JSON serialization.
+"""Deterministic artifact text: JSON documents and CSV tables.
 
-Every artifact file (models, normalizers, tune reports) is written through
-this module so that reruns with identical inputs produce byte-identical
-output. Floats are rendered in Python's shortest round-trip form (``repr``),
-which reads back as the same double, sign of zero included, and as a float,
-never an int; dict keys keep insertion order. Non-finite floats are refused.
+Every artifact file (models, normalizers, tune reports, and the CSV data
+sets, sweeps, histories and predictions) is written through this module, so
+reruns with identical inputs produce byte-identical output, and these rules
+are stated here only. Floats are rendered in Python's shortest round-trip
+form (``repr``), which reads back as the same double, sign of zero included,
+and as a float, never an int. Non-finite floats are refused.
+
+JSON is indented by 2 spaces, keeps dict keys in insertion order and ends in
+a newline. CSV is a header line, then one line per row, cells joined by
+commas; a float cell (numpy float64 included) is written as above and any
+other cell, such as an int or a date, through ``str``; every line ends in a
+newline.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Iterable
 
-__all__ = ["dumps", "loads", "fmt_float"]
+__all__ = ["dumps", "loads", "fmt_float", "csv_text"]
 
 
 def fmt_float(value: float) -> str:
@@ -29,3 +36,11 @@ def dumps(obj: Any) -> str:
 
 def loads(text: str) -> Any:
     return json.loads(text)
+
+
+def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    """A CSV table: the header line, then one line per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt_float(v) if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"

@@ -15,12 +15,10 @@ index, then the per-component uniforms; PSO draws r1 then r2.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import multiprocessing
 import numpy as np
 
 from . import jsonio
@@ -238,15 +236,19 @@ class _Evaluator:
 
     Each pool worker receives the objective once, when it starts; a
     generation is cut into one contiguous sub-batch per worker. Results are
-    order-preserving, so worker count never changes outputs.
+    order-preserving, so worker count never changes outputs. A pool has at
+    most batch_size workers, as more would get no point, and its modules are
+    imported only when one is built.
     """
 
-    def __init__(self, objective: Callable, workers: int = 1) -> None:
+    def __init__(self, objective: Callable, workers: int, batch_size: int) -> None:
         self.objective = objective
         self.count = 0
         self._pool = None
-        self._workers = max(1, int(workers))
+        self._workers = max(1, min(int(workers), batch_size))
         if self._workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             ctx = multiprocessing.get_context("fork")
             self._pool = ProcessPoolExecutor(max_workers=self._workers, mp_context=ctx,
                                              initializer=_install_objective,
@@ -282,7 +284,7 @@ def de_optimize(objective: Callable, space: SearchSpace, config: DeConfig,
     evaluations counts them all: points scored, whether or not the objective
     answered a repeated point from a memo.
     """
-    evaluate = _Evaluator(objective, workers)
+    evaluate = _Evaluator(objective, workers, config.pop_size)
     try:
         members = init_population(space, config.pop_size, config.seed)
         fitness = evaluate(members)
@@ -326,7 +328,7 @@ def pso_optimize(objective: Callable, space: SearchSpace, config: PsoConfig,
     evaluations counts them all: points scored, whether or not the objective
     answered a repeated point from a memo.
     """
-    evaluate = _Evaluator(objective, workers)
+    evaluate = _Evaluator(objective, workers, config.swarm)
     try:
         x = init_population(space, config.swarm, config.seed)
         fitness = evaluate(x)
@@ -366,7 +368,5 @@ def pso_optimize(objective: Callable, space: SearchSpace, config: PsoConfig,
 
 
 def history_csv(result: OptResult) -> str:
-    lines = ["generation,best_f,mean_f"]
-    for g, (best_f, mean_f) in enumerate(result.history):
-        lines.append(f"{g},{jsonio.fmt_float(best_f)},{jsonio.fmt_float(mean_f)}")
-    return "\n".join(lines) + "\n"
+    return jsonio.csv_text(("generation", "best_f", "mean_f"),
+                           ((g, *pair) for g, pair in enumerate(result.history)))

@@ -38,6 +38,7 @@ library or thread count.
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -85,6 +86,8 @@ LOCKSTEP_MIN = 8
 # training rows with |beta| above this are support vectors
 SV_THRESHOLD = 1e-8
 
+_C_MAX = sys.float_info.max / 4
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -104,17 +107,19 @@ class KernelSpec:
 @dataclass(frozen=True)
 class SvrParams:
     """One SVR's parameters, and the one place their rules are stated: C is
-    finite and above SV_THRESHOLD (every |beta| <= C, so below it no support
-    vector is kept) and epsilon finite and >= 0; KernelSpec states gamma's."""
+    above SV_THRESHOLD (every |beta| <= C, so below it no support vector is
+    kept) and at most _C_MAX, a quarter of the largest double (a step's pair
+    bounds c - b_i and b_j + c reach 2C, which overflows past half of it), and
+    epsilon is finite and >= 0; KernelSpec states gamma's."""
 
     c: float
     epsilon: float
     kernel: KernelSpec
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.c) and self.c > SV_THRESHOLD):
-            raise ValueError(f"c must be finite and above {SV_THRESHOLD:g}: at or below it a "
-                             "model keeps no support vector and predicts a constant")
+        if not SV_THRESHOLD < self.c <= _C_MAX:
+            raise ValueError(f"c must lie in ({SV_THRESHOLD:g}, {_C_MAX:g}]: with a smaller C no "
+                             "model keeps a support vector, and a larger one overflows the solver")
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError("epsilon must be finite and >= 0")
 

@@ -8,7 +8,6 @@ set is used for reporting only and never enters the fitness.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -58,7 +57,7 @@ METHOD_ORDER = {"svm_default": 0, "de_svm": 1, "pso_svm": 2}
 @dataclass(frozen=True)
 class ParamBox:
     """Bounded 3-D search region for (C, epsilon, gamma): each range finite
-    with hi > lo (SearchSpace's rule), and its low corner legal SvrParams."""
+    with hi > lo (SearchSpace's rule), and both its corners legal SvrParams."""
 
     c_range: tuple[float, float]
     epsilon_range: tuple[float, float]
@@ -66,7 +65,8 @@ class ParamBox:
 
     def __post_init__(self) -> None:
         self.to_search_space()
-        SvrParams(self.c_range[0], self.epsilon_range[0], KernelSpec(gamma=self.gamma_range[0]))
+        for c, epsilon, gamma in zip(self.c_range, self.epsilon_range, self.gamma_range):
+            SvrParams(c, epsilon, KernelSpec(gamma=gamma))
 
     def to_search_space(self) -> SearchSpace:
         return SearchSpace((
@@ -212,6 +212,7 @@ def heuristic_gamma() -> float:
 
 
 def _fingerprint(train: SupervisedSet, test: SupervisedSet) -> str:
+    import hashlib  # here, not at module level: only a fit's report needs it
     h = hashlib.sha256()
     for arr in (train.features, train.targets, test.features, test.targets):
         h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
@@ -407,10 +408,7 @@ class ComparisonTable:
     def predictions_csv(self) -> str:
         if self.predictions is None:
             raise ValueError("no prediction table was built")
-        lines = [",".join(self.prediction_columns)]
-        for row in self.predictions:
-            lines.append(",".join(jsonio.fmt_float(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return jsonio.csv_text(self.prediction_columns, self.predictions)
 
 
 def compare_report(reports: Sequence[TuneReport],
@@ -486,10 +484,5 @@ def report_to_json(report: TuneReport) -> str:
 
 
 def sweep_rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["value,train_mse,test_mse,n_sv"]
-    for r in rows:
-        lines.append(
-            f"{jsonio.fmt_float(r.value)},{jsonio.fmt_float(r.train_mse)},"
-            f"{jsonio.fmt_float(r.test_mse)},{r.n_sv}"
-        )
-    return "\n".join(lines) + "\n"
+    return jsonio.csv_text(("value", "train_mse", "test_mse", "n_sv"),
+                           ((r.value, r.train_mse, r.test_mse, r.n_sv) for r in rows))

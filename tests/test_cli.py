@@ -359,6 +359,34 @@ class TestPredict:
             assert "malformed model file" in capsys.readouterr().err
 
 
+def test_csv_artifacts_keep_pinned_bytes(data_csv, tmp_path):
+    """ingest's supervised.csv, sweep.csv and predict's predictions.csv, with
+    and without a target column, keep the bytes recorded before one writer
+    (jsonio.csv_text) built every CSV artifact."""
+    out = tmp_path / "run"
+    assert main(["ingest", *shared(data_csv, out, test_n=None), "--normalize"]) == 0
+    assert main(["sweep", *shared(data_csv, out), "--normalize",
+                 "--vary", "epsilon", "--grid", "0.01:0.3:4", "--max-passes", "3"]) == 0
+    assert main(["train", *shared(data_csv, out), "--normalize", "--max-passes", "3"]) == 0
+    features = tmp_path / "features.csv"
+    features.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                for line in (out / "supervised.csv").read_text().splitlines()))
+    for name, data in (("target", out / "supervised.csv"), ("no-target", features)):
+        assert main(["predict", "--data", str(data), "--model", str(out / "model.json"),
+                     "--normalizer", str(out / "normalizer.json"),
+                     "--out", str(tmp_path / name)]) == 0
+    digests = {
+        out / "supervised.csv": "477cb2b93974033b039376e14387eb1e4ebd7b5aaa57006d0aeb517855c1d32f",
+        out / "sweep.csv": "45b1ef4780ee0251292f4e53fd6af4238133d9d9eb4cf3901bf74924ae5f8cf5",
+        tmp_path / "target" / "predictions.csv":
+            "0ae0113509fd8272ef98769cbfecc0b924f55f30527f317a147900707e094bb9",
+        tmp_path / "no-target" / "predictions.csv":
+            "9a99ce957bfb95b790a8c7e43a641a174dbc25b84f4615eb87599feba66ab8d0",
+    }
+    for path, digest in digests.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path
+
+
 @pytest.mark.parametrize("command", ["ingest", "train", "predict", "predict-model"])
 def test_data_or_model_path_that_is_a_directory_exits_3(data_csv, tmp_path, capsys, command):
     """A --data or --model path that exists but cannot be read as a file is a
@@ -428,6 +456,19 @@ class TestConfigFile:
                      "--config", str(tmp_path / "none.json")]) == 2
 
 
+def test_import_leaves_the_pool_and_hash_modules_unloaded():
+    """Start-up loads only what every command uses: the process pool's
+    modules load when a pool is built, hashlib when a report is written."""
+    src = str(Path(svrtune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, svrtune.cli; "
+             "print(*sorted({'multiprocessing', 'concurrent.futures', 'hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
     """With no optional flag, each command resolves to the library's defaults,
     and --help shows them."""
@@ -483,6 +524,9 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
     (["sweep", "--vary", "c", "--grid", "0.5:8:3", "--fix", "epsilon=inf"], {}),
     (["sweep", "--vary", "epsilon", "--grid", "0.01:inf:3"], {}),
     (["sweep", "--vary", "c", "--grid", "1e-300:1:3"], {}),
+    (["train", "--c", "1e308"], {}),
+    ([*TUNE, "--c-range", "1:1e308"], {}),
+    (["sweep", "--vary", "c", "--grid", "1:1e308:3"], {}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
         "out-under-a-file", "config-normalize-string", "c-range-below-sv-threshold",
@@ -490,7 +534,7 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
         "config-grid-list", "config-method-ga", "threads-0", "config-threads-0",
         "fitness-unknown", "config-np-size-4.7", "config-threads-1.5", "config-c-range-list",
         "train-c-1e-300", "train-c-1e-9", "fix-c-inf", "fix-epsilon-inf", "grid-hi-inf",
-        "grid-c-1e-300"])
+        "grid-c-1e-300", "train-c-1e308", "c-range-to-1e308", "grid-c-to-1e308"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range
@@ -598,7 +642,11 @@ def test_failed_comparison_leaves_the_previous_run_whole(tmp_path):
     first = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
     assert first.returncode == 0, first.stderr
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert "data.csv" in before
+    # recorded before one writer (jsonio.csv_text) built every CSV artifact
+    for name, digest in (
+            ("data.csv", "a38fb8a8469fdcfb155d0267336af8652f7cffce556fe59f192e980fa3f42651"),
+            ("predictions.csv", "f28f1873db0f19185e45859095c28ecfa1c9a15144c5eee7df46bd52cdfe7344")):
+        assert hashlib.sha256(before[name]).hexdigest() == digest, name
     failed = subprocess.run([*argv, "--synthetic-seed", "1", "--train-n", "5000"], env=env,
                             capture_output=True, text=True, timeout=300)
     assert failed.returncode == 3, failed.stderr

@@ -1,6 +1,8 @@
 import math
 import struct
+from datetime import date
 
+import numpy as np
 import pytest
 
 from svrtune import jsonio
@@ -39,3 +41,31 @@ def test_layout_keeps_key_order_and_ends_in_one_newline():
     assert list(jsonio.loads(text)["m"]) == ["y", "b"]
     assert text == ('{\n  "z": 1,\n  "a": [\n    0.5,\n    true,\n    null\n  ],\n'
                     '  "m": {\n    "y": "s",\n    "b": []\n  },\n  "e": {}\n}\n')
+
+
+@pytest.mark.parametrize("x", DOUBLES, ids=repr)
+def test_csv_cells_round_trip_bit_exact(x):
+    for cell in (x, np.float64(x)):
+        text = jsonio.csv_text(("x", "y"), [(cell, cell)])
+        header, line = text.splitlines()
+        assert header == "x,y"
+        for field in line.split(","):
+            assert bits(float(field)) == bits(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_csv_refuses_non_finite_cells(x):
+    for cell in (x, np.float64(x)):
+        with pytest.raises(ValueError):
+            jsonio.csv_text(("a", "b"), [(1.0, 2.0), (0.5, cell)])
+
+
+def test_csv_writes_ints_and_dates_through_str():
+    text = jsonio.csv_text(["date", "n", "k", "v"],
+                           [(date(2015, 1, 2), 3, np.int64(-7), 4.0), (date(2016, 2, 29), 0, 1, 0.1)])
+    assert text == "date,n,k,v\n2015-01-02,3,-7,4.0\n2016-02-29,0,1,0.1\n"
+
+
+def test_csv_header_only_table_is_one_line():
+    assert jsonio.csv_text(("actual", "predicted"), []) == "actual,predicted\n"
+    assert jsonio.csv_text(("predicted",), iter(())) == "predicted\n"

@@ -1,9 +1,12 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import svrtune.optim as optim
 from svrtune.benchmarks import rosenbrock, sphere
 from svrtune.dataset import SupervisedSet
 from svrtune.optim import (
@@ -304,6 +307,48 @@ def test_batched_and_per_point_objectives_agree(method, workers):
     assert batched.best_f == per_point.best_f
     assert batched.history == per_point.history
     assert batched.evaluations == per_point.evaluations == 14 * 4
+
+
+@pytest.mark.parametrize("method", ["de", "pso"])
+def test_pool_is_never_larger_than_the_population(monkeypatch, method):
+    """A process pool starts all its workers at the first submit, and a
+    worker past the population size never gets a point, so the optimizers
+    ask for at most one worker per member. A recording stand-in for the pool
+    runs the sub-batches in this process, so the test starts no process."""
+    sizes, batches = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, parts):
+            parts = list(parts)
+            batches.append([len(part) for part in parts])
+            return [fn(part) for part in parts]
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if hasattr(optim, "ProcessPoolExecutor"):
+        monkeypatch.setattr(optim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(optim, "_WORKER_OBJECTIVE", None)
+    if method == "de":
+        optimize, config = de_optimize, DeConfig(pop_size=5, g_max=3, seed=8)
+    else:
+        optimize, config = pso_optimize, PsoConfig(swarm=5, iters=3, seed=8)
+    serial = optimize(sphere, BOX2, config, workers=1)
+    assert sizes == []
+    for workers in (64, 100_000):
+        pooled = optimize(sphere, BOX2, config, workers=workers)
+        assert sizes.pop() == 5
+        assert batches == [[1] * 5] * 4
+        batches.clear()
+        assert np.array_equal(pooled.best_x, serial.best_x)
+        assert pooled.history == serial.history
+    assert optimize(sphere, BOX2, config, workers=2).history == serial.history
+    assert sizes == [2] and batches == [[2, 3]] * 4
 
 
 def test_serial_evaluator_scores_each_generation_in_one_batch():

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,22 @@ def test_c_must_exceed_the_sv_threshold():
         with pytest.raises(ValueError, match="support vector"):
             SvrParams(c=c, epsilon=0.01, kernel=RBF)
     SvrParams(c=float(np.nextafter(svr_mod.SV_THRESHOLD, 1.0)), epsilon=0.01, kernel=RBF)
+
+
+def test_c_is_at_most_a_quarter_of_the_largest_double():
+    """The pair bounds c - b_i and b_j + c reach 2C, which overflows past half
+    the largest double: at C 8.9e307 a fit keeps 2 support vectors with a
+    KKT violation of 1.78e308. SvrParams refuses a C past a quarter of it,
+    and at that limit the fit is the one at C 1e306, where C does not bind."""
+    limit = sys.float_info.max / 4
+    for c in (float(np.nextafter(limit, np.inf)), 8.9e307, 1e308):
+        with pytest.raises(ValueError, match="overflow"):
+            SvrParams(c=c, epsilon=0.1, kernel=RBF)
+    X, y = noisy_sine(60, seed=3)
+    settings = SolverSettings(max_passes=20)
+    at_limit = train_svr(X, y, SvrParams(limit, 0.1, RBF), settings)
+    assert models_equal(at_limit, train_svr(X, y, SvrParams(1e306, 0.1, RBF), settings))
+    assert at_limit.n_sv == 31 and at_limit.bias == pytest.approx(0.0714, abs=1e-4)
 
 
 def test_last_fits_finish_in_the_scalar_loop(monkeypatch):

@@ -73,6 +73,8 @@ class TestParamBox:
             ParamBox((1.0, 10.0), (0.1, 0.01), (0.1, 1.0))
         with pytest.raises(ValueError, match="support vector"):
             ParamBox((svr_mod.SV_THRESHOLD, 10.0), (0.01, 0.1), (0.1, 1.0))
+        with pytest.raises(ValueError, match="overflow"):  # the high corner is checked too
+            ParamBox((1.0, 1e308), (0.01, 0.1), (0.1, 1.0))
         ParamBox((1.0, 10.0), (0.0, 0.1), (0.1, 1.0))  # epsilon lo may be 0
 
     def test_search_space_names(self):
