@@ -419,7 +419,7 @@ def _read_json_file(path: Path, what: str, parse):
     text = read_text(path, what)
     try:
         return parse(text)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {what} file {path}: {exc!r}") from exc
 
 

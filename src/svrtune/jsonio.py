@@ -5,7 +5,8 @@ sets, sweeps, histories and predictions) is written through this module, so
 reruns with identical inputs produce byte-identical output, and these rules
 are stated here only. Floats are rendered in Python's shortest round-trip
 form (``repr``), which reads back as the same double, sign of zero included,
-and as a float, never an int. Non-finite floats are refused.
+and as a float, never an int. Non-finite floats are refused, when written and
+when read.
 
 JSON is indented by 2 spaces, keeps dict keys in insertion order and ends in
 a newline. CSV is a header line, then one line per row, cells joined by
@@ -34,8 +35,17 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in JSON")
+    return value
+
+
 def loads(text: str) -> Any:
-    return json.loads(text)
+    """Parse JSON. NaN, Infinity, -Infinity and a number too large for a
+    double, none of which dumps writes, are refused with a ValueError."""
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
 def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:

@@ -227,18 +227,26 @@ def _evaluate(objective: Callable, points: list) -> list:
     return [objective(p) for p in points]
 
 
-def _evaluate_in_worker(points: list) -> list:
-    return _evaluate(_WORKER_OBJECTIVE, points)
+def _score_in_worker(point) -> float:
+    """The value at one point in a pool worker."""
+    return _evaluate(_WORKER_OBJECTIVE, [point])[0]
 
 
 class _Evaluator:
     """Batch objective evaluation, optionally over a process pool.
 
-    Each pool worker receives the objective once, when it starts; a
-    generation is cut into one contiguous sub-batch per worker. Results are
-    order-preserving, so worker count never changes outputs. A pool has at
-    most batch_size workers, as more would get no point, and its modules are
-    imported only when one is built.
+    Without a pool, a generation is one evaluate_batch call when the
+    objective has one, otherwise one call per point. Each pool worker
+    receives the objective once, when it starts, and every point it scores
+    is a task of its own, so a free worker takes the next point and no fixed
+    share waits on its slowest fit. An objective with evaluate_with(points,
+    score), as tuning.SvrObjective has, keeps its memo in this process:
+    evaluate_with answers the points it has already scored and passes only
+    the others here, once each, so a worker's copy never meets a point twice.
+    A worker scores its point as _evaluate does, so any other objective is
+    called once per point. Results are order-preserving, so worker count
+    never changes outputs. A pool has at most batch_size workers, as more
+    would get no point, and its modules are imported only when one is built.
     """
 
     def __init__(self, objective: Callable, workers: int, batch_size: int) -> None:
@@ -259,15 +267,20 @@ class _Evaluator:
         if self._pool is None:
             values = _evaluate(self.objective, rows)
         else:
-            cuts = [round(k * len(rows) / self._workers) for k in range(self._workers + 1)]
-            parts = [rows[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-            values = [v for part in self._pool.map(_evaluate_in_worker, parts) for v in part]
+            evaluate_with = getattr(self.objective, "evaluate_with", None)
+            values = (evaluate_with(rows, self._in_pool) if evaluate_with is not None
+                      else self._in_pool(rows))
         self.count += len(rows)
         out = np.asarray(values, dtype=np.float64)
         if not np.isfinite(out).all():
             bad = int(np.flatnonzero(~np.isfinite(out))[0])
             raise ObjectiveError(rows[bad], float(out[bad]))
         return out
+
+    def _in_pool(self, points: list) -> list:
+        """The value at each point, each point a pool task, submitted in order."""
+        futures = [self._pool.submit(_score_in_worker, p) for p in points]
+        return [f.result() for f in futures]
 
     def close(self) -> None:
         if self._pool is not None:

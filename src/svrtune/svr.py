@@ -21,7 +21,10 @@ stand. train_svr is its one-triple case, solved in the scalar loop from
 beta = 0. The scalar loop keeps each step's scalar bookkeeping on Python
 floats, which are IEEE doubles as np.float64 scalars are, in the same
 order of operations, so its models are those of numpy scalar arithmetic
-bit for bit, for a third to a half less time per step.
+bit for bit, for a third to a half less time per step; it reuses each
+index's eta row within a solve, up to a fixed memory budget, and updates
+its three n-vectors with one subtraction, which leaves every value as it
+was.
 
 The kernel is the RBF kernel k(x, z) = exp(-||x - z||^2 / gamma): gamma
 denotes the full denominator of the exponent, i.e. gamma = 2*sigma^2. Larger
@@ -58,6 +61,7 @@ __all__ = [
     "train_svr_batch",
     "predict",
     "predict_batch",
+    "predict_rows",
     "mse",
     "dual_objective",
     "model_to_json",
@@ -73,15 +77,26 @@ KERNEL_CACHE_LIMIT = 4096
 # train_svr_batch advances its fits in lockstep while at least this many are
 # unfinished and finishes the rest one by one in the scalar loop: a lockstep
 # step costs several scalar steps, so it pays only while enough problems
-# share it. Measured once the scalar step ran on Python floats: every slice
-# of P points of an 8-generation desk-de job (DE, holdout 0.2, 400 fit rows,
-# max_passes 3, 2 cores) timed under each value in turn. 8 was fastest or
-# within 1% for P = 5, 7, 8, 10, 12 and 15; 5 was 4 to 17% slower than 8 at
-# every P, and the scalar loop alone 19% slower at P = 15. The ROADMAP desk
-# tune (population 15) then took 11.7 to 13.1 s at --threads 4, whose shares
-# of 3 and 4 run the scalar loop throughout, and 12.1 to 15.4 s at
-# --threads 2 (3 runs each).
-LOCKSTEP_MIN = 8
+# share it. Measured once the scalar loop cached its eta rows and kept its
+# state in one array: P desk-style fits (400 fit rows of a benchmark walk,
+# max_passes 3, triples drawn from the desk box, single-threaded BLAS, 2
+# cores, best of 4) in lockstep to the end took 17.5, 13.4, 13.3, 11.5 and
+# 9.0 us per problem-step at P = 8, 12, 15, 20 and 30, and 11.2 to 11.5 us in
+# the scalar loop alone: the scalar loop is 13% faster at P = 15 and even at
+# 20, lockstep 26% faster at 30. 8-generation desk-de jobs (population 15, so
+# now all scalar) took 1.27 s a job at 16 against 1.31 s at 8, best of 4
+# alternating rounds of 8 walks, with equal outputs. End to end at the
+# default population of 30, serial 8-generation tunes on 4 benchmark walks
+# (best of 4 alternating rounds) took 8.08 s at 16 against 9.79 s in the
+# scalar loop alone for DE with holdout fitness, and 10.36 against 11.40 s
+# for PSO with train-mse, with equal outputs.
+LOCKSTEP_MIN = 16
+
+# _solve_dual keeps at most this many doubles (4 MB) of cached eta rows per
+# solve: every row while n <= 724, which covers the benchmark fits, and
+# fewer above, so a solve on a _LazyKernel (n > KERNEL_CACHE_LIMIT) adds a
+# fixed 4 MB to its O(n) memory, not an (n, n) table
+ETA_CACHE_DOUBLES = 1 << 19
 
 # training rows with |beta| above this are support vectors
 SV_THRESHOLD = 1e-8
@@ -156,7 +171,9 @@ class TrainingDiagnostics:
 class SvrModel:
     """Trained regressor: f(x) = sum_i beta_i k(sv_i, x) + bias.
 
-    Only rows with |beta| above SV_THRESHOLD are stored.
+    Only rows with |beta| above SV_THRESHOLD are stored. A fit records
+    support_rows, the index of each support vector among its training rows,
+    which predict_rows reads; a model read from a file has None.
     """
 
     support_inputs: np.ndarray
@@ -165,6 +182,7 @@ class SvrModel:
     params: SvrParams
     n_sv: int
     diagnostics: TrainingDiagnostics
+    support_rows: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         sv = np.array(self.support_inputs, dtype=np.float64)
@@ -175,6 +193,12 @@ class SvrModel:
         bt.setflags(write=False)
         object.__setattr__(self, "support_inputs", sv)
         object.__setattr__(self, "beta", bt)
+        if self.support_rows is not None:
+            rows = np.array(self.support_rows, dtype=np.intp)
+            if rows.shape != bt.shape:
+                raise ValueError("support_rows must hold one row index per support vector")
+            rows.setflags(write=False)
+            object.__setattr__(self, "support_rows", rows)
 
     @property
     def n_features(self) -> int:
@@ -221,9 +245,7 @@ class _DenseKernel:
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
-
-    def column(self, i: int) -> np.ndarray:
-        return self.mat[i]
+        self.column = mat.__getitem__  # row i, read with no Python call of its own
 
 
 class _LazyKernel:
@@ -277,6 +299,15 @@ class KernelGeometry:
             return _kernel_base(X[idx][:, None, :], X[None, :, :])
         return self.base[idx]
 
+    def block(self, rows, cols) -> np.ndarray:
+        """Squared distances from rows to cols, a new C-contiguous
+        (len(rows), len(cols)) array: taken from the base, or built from the
+        features when there is none."""
+        if self.base is None:
+            X = self.features
+            return _kernel_base(X[rows][:, None, :], X[cols][None, :, :])
+        return self.base[np.ix_(rows, cols)]
+
     def kernel(self, spec: KernelSpec):
         """Kernel of these rows under spec, as the dual solver reads it."""
         if self.base is None:
@@ -306,44 +337,56 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     box, the two bound entries) runs on Python floats read with
     ndarray.item. They are IEEE doubles, as np.float64 scalars are, and
     every operation keeps its order, so each value is the one numpy
-    scalars would give, bit for bit.
+    scalars would give, bit for bit. The array work keeps its bits too: the
+    eta row of index i, max(2 - 2 K[i], 1e-12), depends on i alone, so it is
+    built the first time i leads a step and reused after (as LIBSVM reuses
+    kernel rows per index) by the first ETA_CACHE_DOUBLES // n indices to
+    lead one, and built afresh each time by the others; resid, up and dn
+    are the rows of one (3, n) copy of the start state, which one
+    subtraction of delta updates; D, the gain estimate and delta are
+    written into buffers allocated once per solve; and a _DenseKernel's
+    rows are read by plain indexing.
     """
-    n = y.shape[0]
     if start is None:
-        beta = np.zeros(n)
         resid = y.astype(np.float64, copy=True)
-        up = resid - epsilon
-        dn = resid + epsilon
-        steps = 0
-    else:
-        beta, resid, up, dn, steps = start
+        start = (np.zeros(y.shape[0]), resid, resid - epsilon, resid + epsilon, 0)
+    beta, resid, up, dn, steps = start
+    state = np.stack((resid, up, dn))
+    resid, up, dn = state
+    D, est, delta, term = np.empty((4, y.shape[0]))
+    up_argmax, dn_argmin, up_item, dn_item = up.argmax, dn.argmin, up.item, dn.item
+    beta_item, resid_item, est_argmax, column = beta.item, resid.item, est.argmax, kernel.column
     snap = 1e-10 * max(1.0, c)
     top, bottom = c - snap, -c + snap
     two_eps = 2.0 * epsilon
-    scratch = np.empty(n)
+    etas = {}  # index i -> its eta row; the RBF diagonal is exactly 1.0
+    eta_rows = ETA_CACHE_DOUBLES // y.shape[0]
     while True:
-        i = up.argmax()
-        b_lo = up.item(i)
-        b_up = dn.item(dn.argmin())
+        i = up_argmax()
+        b_lo = up_item(i)
+        b_up = dn_item(dn_argmin())
         violation = b_lo - b_up
         if violation <= tol or steps >= max_steps:
             break
-        ki = kernel.column(i)
-        # second-order partner choice: maximize gain estimate D^2 / eta; the
-        # RBF diagonal is exactly 1.0
-        D = b_lo - dn
-        np.multiply(ki, -2.0, out=scratch)
-        scratch += 1.0
-        scratch += 1.0
-        np.maximum(scratch, 1e-12, out=scratch)
-        est = D * np.abs(D)
-        est /= scratch
-        j = est.argmax()
-        kj = kernel.column(j)
-        bi = beta.item(i)
-        bj = beta.item(j)
-        eta = scratch.item(j)
-        a = resid.item(i) - resid.item(j)
+        ki = column(i)
+        eta_row = etas.get(i)
+        if eta_row is None:
+            eta_row = ki * -2.0
+            eta_row += 1.0
+            eta_row += 1.0
+            np.maximum(eta_row, 1e-12, out=eta_row)
+            if len(etas) < eta_rows:
+                etas[i] = eta_row
+        # second-order partner choice: maximize gain estimate D^2 / eta
+        np.subtract(b_lo, dn, out=D)
+        np.abs(D, out=est)
+        est *= D
+        est /= eta_row
+        j = est_argmax()
+        bi = beta_item(i)
+        bj = beta_item(j)
+        eta = eta_row.item(j)
+        a = resid_item(i) - resid_item(j)
         lo = max(-c - bi, bj - c)
         hi = min(c - bi, bj + c)
         # exact maximization of the piecewise-concave quadratic in the move d
@@ -370,17 +413,16 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
             new_j = c
         elif new_j < bottom:
             new_j = -c
-        delta = (new_i - bi) * ki
+        np.multiply(ki, new_i - bi, out=delta)
         if new_j != bj:
-            delta += (new_j - bj) * kj
-        resid -= delta
-        up -= delta
-        dn -= delta
+            np.multiply(column(j), new_j - bj, out=term)
+            delta += term
+        state -= delta
         beta[i] = new_i
         beta[j] = new_j
         for t in (i, j):
-            bt = beta.item(t)
-            rt = resid.item(t)
+            bt = beta_item(t)
+            rt = resid_item(t)
             up[t] = -np.inf if bt >= c else (rt - epsilon if bt >= 0.0 else rt + epsilon)
             dn[t] = np.inf if bt <= -c else (rt + epsilon if bt <= 0.0 else rt - epsilon)
         steps += 1
@@ -438,7 +480,7 @@ def _solve_dual_batch(geometry: KernelGeometry, y: np.ndarray, c: np.ndarray,
     def finish_alone():
         """Run each live problem to its end in the scalar loop."""
         for row, p in enumerate(live):
-            state = (beta[row].copy(), resid[row].copy(), up[row].copy(), dn[row].copy(), steps)
+            state = (beta[row].copy(), resid[row], up[row], dn[row], steps)
             out_beta[p], out_bias[p], out_steps[p], out_violation[p] = _solve_dual(
                 geometry.kernel(KernelSpec(gamma=float(gamma[p]))), y, float(consts[row, 0]),
                 float(epsilon[p]), tol, max_steps, state)
@@ -607,7 +649,8 @@ def train_svr_batch(features, targets, params_seq: Sequence[SvrParams],
         models.append(SvrModel(
             support_inputs=X[sv], beta=beta[k][sv], bias=float(bias[k]), params=p,
             n_sv=int(sv.sum()),
-            diagnostics=TrainingDiagnostics(int(steps[k]), max(float(violation[k]), 0.0))))
+            diagnostics=TrainingDiagnostics(int(steps[k]), max(float(violation[k]), 0.0)),
+            support_rows=np.flatnonzero(sv)))
     return models
 
 
@@ -617,9 +660,32 @@ def predict_batch(model: SvrModel, features) -> np.ndarray:
         raise ValueError("features must be a 2-D matrix")
     if X.shape[1] != model.n_features:
         raise ValueError(f"dimension mismatch: model has d={model.n_features}, input d={X.shape[1]}")
+    return _predict_sqdist(model, _kernel_base(X[:, None, :], model.support_inputs[None, :, :]))
+
+
+def predict_rows(model: SvrModel, geometry: KernelGeometry, rows, fit_rows=None) -> np.ndarray:
+    """predict_batch(model, geometry.features[rows]), bit for bit, with the
+    squared distances read from the geometry instead of recomputed.
+
+    model was fitted on the geometry rows fit_rows (all of them when None),
+    so its support vectors are the rows fit_rows[model.support_rows].
+    """
+    if model.support_rows is None:
+        raise ValueError("the model does not record its support rows")
+    if geometry.features.shape[1] != model.n_features:
+        raise ValueError(f"dimension mismatch: model has d={model.n_features}, "
+                         f"geometry d={geometry.features.shape[1]}")
+    sv = model.support_rows if fit_rows is None else np.asarray(fit_rows)[model.support_rows]
+    return _predict_sqdist(model, geometry.block(rows, sv))
+
+
+def _predict_sqdist(model: SvrModel, sqdist: np.ndarray) -> np.ndarray:
+    """Predictions from the C-contiguous squared distances of the inputs to
+    the model's support vectors, (m, n_sv), overwritten: the one reduction
+    of predict_batch and predict_rows, so the two agree bit for bit."""
     if model.beta.shape[0] == 0:
-        return np.full(X.shape[0], model.bias)
-    K = _kernel_matrix(model.params.kernel, X, model.support_inputs)
+        return np.full(sqdist.shape[0], model.bias)
+    K = _kernel_values(model.params.kernel, sqdist)
     K *= model.beta
     return K.sum(axis=1) + model.bias
 

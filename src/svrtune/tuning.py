@@ -25,6 +25,7 @@ from .svr import (
     SvrParams,
     mse,
     predict_batch,
+    predict_rows,
     train_svr,
     train_svr_batch,
 )
@@ -222,14 +223,18 @@ def _fingerprint(train: SupervisedSet, test: SupervisedSet) -> str:
 def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
           settings: SolverSettings | None = None, seed: int = 0) -> list[SweepRow]:
     """Train one model per grid value, all in one batched fit; rows come back
-    in grid order. seed is unused (the solver is deterministic)."""
+    in grid order. The training rows are scored from the fit's kernel
+    geometry. seed is unused (the solver is deterministic)."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if len(test) == 0:
         raise ValueError("test set is empty")
-    models = train_svr_batch(train.features, train.targets, spec.params(), settings)
+    geometry = KernelGeometry(train.features)
+    models = train_svr_batch(train.features, train.targets, spec.params(), settings,
+                             geometry=geometry)
+    rows = np.arange(len(train))
     return [SweepRow(value=float(value),
-                     train_mse=mse(train.targets, predict_batch(model, train.features)),
+                     train_mse=mse(train.targets, predict_rows(model, geometry, rows)),
                      test_mse=mse(test.targets, predict_batch(model, test.features)),
                      n_sv=model.n_sv)
             for value, model in zip(spec.grid, models)]
@@ -256,15 +261,19 @@ class SvrObjective:
     """Pure, picklable fitness over (c, epsilon, gamma) triples.
 
     The kernel geometry of the training rows is built once; every call fits
-    on it (train_mse) or on its index sub-blocks (holdout and k-fold), so
-    repeated calls only pay for the kernel map and the dual solve.
-    evaluate_batch scores a whole population with one lockstep solve per
-    split; calling the objective on one point is evaluate_batch([x])[0].
+    on it (train_mse) or on its index sub-blocks (holdout and k-fold), and
+    scores the validation rows (the training rows for train_mse) from the
+    squared distances it holds, so repeated calls only pay for the kernel
+    map, the dual solve and the scoring sums. A batch of triples is fitted
+    with one lockstep solve per split; calling the objective on one point is
+    evaluate_batch([x])[0].
 
     The fitness is a pure function of the triple, so the objective keeps a
     memo of every value it has scored, keyed by the triple's float64 bytes
     (epsilon 0.0 and -0.0 are two keys), and fits each triple once in its
-    lifetime. Each pool worker's copy keeps its own memo.
+    lifetime. evaluate_batch scores what the memo lacks in this process;
+    evaluate_with hands it to another scorer, such as optim's process pool,
+    whose workers each call evaluate_batch on their own copy.
     """
 
     kernel_kind = "rbf"
@@ -310,25 +319,37 @@ class SvrObjective:
         return self.evaluate_batch([x])[0]
 
     def evaluate_batch(self, points) -> list[float]:
-        """The fitness at each point, in order. The triples not yet in the
-        memo are fitted once each, in first-seen order, by one batched fit
-        per split, equal bit for bit to fitting each point alone."""
+        """The fitness at each point, in order; the triples not yet in the
+        memo are fitted here, by one batched score call."""
+        return self.evaluate_with(points, self._score)
+
+    def evaluate_with(self, points, score) -> list[float]:
+        """The fitness at each point, in order, from the memo. The triples
+        not yet in it go to score(triples) once each, largest C first (the
+        fits the step cap binds on, which in a pool should start first), and
+        its values are remembered. A fit's bits do not depend on the rest
+        of its batch, so every value is that of fitting its point alone."""
         keys = [np.asarray(x, dtype=np.float64).ravel().tobytes() for x in points]
         new = list(dict.fromkeys(key for key in keys if key not in self._memo))
-        params = []
-        for key in new:
-            c, epsilon, gamma = (float(v) for v in np.frombuffer(key))
-            params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
-        if params:
-            totals = [0.0] * len(params)
-            for fit, val in self._splits:
-                models = train_svr_batch(self.features[fit], self.targets[fit], params,
-                                         self.settings, geometry=self.geometry.subset(fit))
-                for k, model in enumerate(models):
-                    totals[k] += mse(self.targets[val], predict_batch(model, self.features[val]))
-            for key, total in zip(new, totals):
-                self._memo[key] = total / len(self._splits)
+        if new:
+            new.sort(key=lambda key: -np.frombuffer(key)[0])
+            self._memo.update(zip(new, score([np.frombuffer(key) for key in new])))
         return [self._memo[key] for key in keys]
+
+    def _score(self, points) -> list[float]:
+        """The fitness at each triple, fitted now and not remembered: one
+        batched fit per split."""
+        params = []
+        for x in points:
+            c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
+            params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
+        totals = [0.0] * len(params)
+        for fit, val in self._splits:
+            models = train_svr_batch(self.features[fit], self.targets[fit], params,
+                                     self.settings, geometry=self.geometry.subset(fit))
+            for k, model in enumerate(models):
+                totals[k] += mse(self.targets[val], predict_rows(model, self.geometry, val, fit))
+        return [total / len(self._splits) for total in totals]
 
 
 def make_fitness(train: SupervisedSet, spec: FitnessSpec, kernel_kind: str = "rbf",

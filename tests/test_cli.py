@@ -359,6 +359,34 @@ class TestPredict:
             assert "malformed model file" in capsys.readouterr().err
 
 
+    def test_non_finite_numbers_in_model_or_normalizer_exit_3(self, data_csv, tmp_path, capsys):
+        """A NaN, an infinity or an integer too large for a double, none of
+        which the program writes, makes a model or normalizer file
+        malformed, before any prediction is made."""
+        out = tmp_path / "run"
+        assert main(["ingest", *shared(data_csv, out, test_n=None), "--normalize"]) == 0
+        assert main(["train", *shared(data_csv, out), "--normalize"]) == 0
+        # a marker value in the field, replaced in the text by the bad number
+        model = json.loads((out / "model.json").read_text())
+        model["bias"] = 12345.25
+        normalizer = json.loads((out / "normalizer.json").read_text())
+        column, = (c for c in normalizer["columns"] if c["name"] == "next_close")
+        column["x_min"] = 12345.25
+        files = {"model": json.dumps(model), "normalizer": json.dumps(normalizer)}
+        for what, value in (("model", "NaN"), ("model", "Infinity"), ("model", "1e999"),
+                            ("model", "1" + "0" * 400), ("normalizer", "NaN"),
+                            ("normalizer", "-Infinity"), ("normalizer", "-1" + "0" * 400)):
+            paths = {"model": out / "model.json", "normalizer": out / "normalizer.json"}
+            paths[what] = tmp_path / "bad.json"
+            paths[what].write_text(files[what].replace("12345.25", value))
+            assert main(["predict", "--model", str(paths["model"]),
+                         "--data", str(out / "supervised.csv"),
+                         "--normalizer", str(paths["normalizer"]),
+                         "--out", str(tmp_path / "pred")]) == 3
+            assert f"malformed {what} file" in capsys.readouterr().err
+            assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
 def test_csv_artifacts_keep_pinned_bytes(data_csv, tmp_path):
     """ingest's supervised.csv, sweep.csv and predict's predictions.csv, with
     and without a target column, keep the bytes recorded before one writer

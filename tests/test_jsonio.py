@@ -34,6 +34,12 @@ def test_non_finite_floats_are_refused(x):
         jsonio.dumps({"x": [1.0, x]})
 
 
+@pytest.mark.parametrize("text", ["NaN", "[1.0, Infinity]", '{"x": -Infinity}', "1e999", "[-1e400]"])
+def test_non_finite_numbers_are_refused_when_read(text):
+    with pytest.raises(ValueError, match="non-finite number"):
+        jsonio.loads(text)
+
+
 def test_layout_keeps_key_order_and_ends_in_one_newline():
     doc = {"z": 1, "a": [0.5, True, None], "m": {"y": "s", "b": []}, "e": {}}
     text = jsonio.dumps(doc)

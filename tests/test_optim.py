@@ -1,4 +1,6 @@
 import concurrent.futures
+import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -287,10 +289,11 @@ class TestPsoOptimize:
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("method", ["de", "pso"])
 def test_batched_and_per_point_objectives_agree(method, workers):
-    """An objective with evaluate_batch is scored once per generation (once
-    per worker and sub-batch in the pool, here two of 7, each solved in
-    lockstep); the result is the same as calling it point by point through a
-    plain function."""
+    """An objective with evaluate_batch is scored by one call per
+    generation without a pool; in the pool its memo stays in this process
+    and each triple it has not scored is a worker task of its own, fitted
+    alone. The result is the same as calling it point by point through a
+    plain function, which the pool calls once per point."""
     rng = np.random.default_rng(3)
     t = np.linspace(0.0, 3.0, 41)
     feats = np.column_stack([np.sin(t + k) + 0.05 * rng.standard_normal(41) for k in range(5)])
@@ -309,23 +312,25 @@ def test_batched_and_per_point_objectives_agree(method, workers):
     assert batched.evaluations == per_point.evaluations == 14 * 4
 
 
-@pytest.mark.parametrize("method", ["de", "pso"])
-def test_pool_is_never_larger_than_the_population(monkeypatch, method):
-    """A process pool starts all its workers at the first submit, and a
-    worker past the population size never gets a point, so the optimizers
-    ask for at most one worker per member. A recording stand-in for the pool
-    runs the sub-batches in this process, so the test starts no process."""
-    sizes, batches = [], []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for the process pool that runs each task in this process
+    as it is submitted, so a test starts no process. Its worker holds a
+    deep copy of the objective, as a forked worker holds its own. Returns
+    the list of pool sizes asked for and the list of points submitted, one
+    per task."""
+    sizes, tasks = [], []
 
     class RecordingPool:
         def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             sizes.append(max_workers)
-            initializer(*initargs)
+            initializer(*copy.deepcopy(initargs))
 
-        def map(self, fn, parts):
-            parts = list(parts)
-            batches.append([len(part) for part in parts])
-            return [fn(part) for part in parts]
+        def submit(self, fn, point):
+            tasks.append(np.array(point))
+            future = concurrent.futures.Future()
+            future.set_result(fn(point))
+            return future
 
         def shutdown(self):
             pass
@@ -334,21 +339,97 @@ def test_pool_is_never_larger_than_the_population(monkeypatch, method):
     if hasattr(optim, "ProcessPoolExecutor"):
         monkeypatch.setattr(optim, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(optim, "_WORKER_OBJECTIVE", None)
+    return sizes, tasks
+
+
+@pytest.mark.parametrize("method", ["de", "pso"])
+def test_pool_is_never_larger_than_the_population(recording_pool, method):
+    """A process pool starts all its workers at the first submit, and a
+    worker past the population size never gets a point, so the optimizers
+    ask for at most one worker per member. Every point is a task of its own."""
+    sizes, tasks = recording_pool
     if method == "de":
         optimize, config = de_optimize, DeConfig(pop_size=5, g_max=3, seed=8)
     else:
         optimize, config = pso_optimize, PsoConfig(swarm=5, iters=3, seed=8)
     serial = optimize(sphere, BOX2, config, workers=1)
     assert sizes == []
-    for workers in (64, 100_000):
+    for workers in (64, 100_000, 2):
         pooled = optimize(sphere, BOX2, config, workers=workers)
-        assert sizes.pop() == 5
-        assert batches == [[1] * 5] * 4
-        batches.clear()
+        assert sizes.pop() == min(workers, 5)
+        assert [np.shape(point) for point in tasks] == [(2,)] * (5 * 4)
+        tasks.clear()
         assert np.array_equal(pooled.best_x, serial.best_x)
         assert pooled.history == serial.history
-    assert optimize(sphere, BOX2, config, workers=2).history == serial.history
-    assert sizes == [2] and batches == [[2, 3]] * 4
+
+
+def test_pool_calls_a_plain_objective_once_per_point(recording_pool):
+    """An objective with no batch protocol gets no memo from the pool: each
+    point scored is one task and one call, repeats included."""
+    _, tasks = recording_pool
+    calls = []
+
+    def objective(x):
+        calls.append(np.asarray(x).tobytes())
+        return sphere(x)
+
+    # the box clip piles the swarm onto corners, so points repeat
+    space = SearchSpace((("a", 0.0, 0.1), ("b", 0.0, 0.1)))
+    config = PsoConfig(swarm=6, iters=5, seed=1)
+    result = pso_optimize(objective, space, config, workers=2)
+    assert result.evaluations == len(calls) == len(tasks) == 6 * 6
+    assert len(set(calls)) < len(calls)
+    assert calls == [np.asarray(x).tobytes() for x in tasks]
+    assert result.history == pso_optimize(sphere, space, config).history
+
+
+@pytest.mark.parametrize("spec", [FitnessSpec.train_mse(), FitnessSpec.kfold(3)],
+                         ids=["train-mse", "kfold"])
+def test_pool_fits_each_triple_once_per_tune(recording_pool, monkeypatch, spec):
+    """The parent's SvrObjective answers every triple it has scored: across
+    the workers each distinct triple is fitted once per split in a whole
+    tune, only new triples become tasks, largest C first, and the values are
+    those of a serial run."""
+    import svrtune.tuning as tuning
+
+    _, tasks = recording_pool
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 3.0, 41)
+    feats = np.column_stack([np.sin(t + k) + 0.05 * rng.standard_normal(41) for k in range(5)])
+    train = SupervisedSet(feats[:-1], feats[1:, 0])
+    settings = SolverSettings(max_passes=3)
+    space = ParamBox((0.5, 8.0), (0.02, 0.1), (0.3, 1.5)).to_search_space()
+    config = PsoConfig(swarm=8, iters=8, seed=0)
+    serial = pso_optimize(make_fitness(train, spec, settings=settings), space, config)
+    fitted = []
+    train_svr_batch = tuning.train_svr_batch
+
+    def counting(features, targets, params_seq, *args, **kwargs):
+        fitted.extend(np.array([p.c, p.epsilon, p.kernel.gamma]).tobytes() for p in params_seq)
+        return train_svr_batch(features, targets, params_seq, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "train_svr_batch", counting)
+    scored = []
+    objective = make_fitness(train, spec, settings=settings)
+    evaluate_with = tuning.SvrObjective.evaluate_with
+
+    def recording(self, points, score):
+        if self is objective:  # the parent's calls; a worker's copy scores its task
+            scored.append([np.asarray(x, dtype=np.float64).tobytes() for x in points])
+        return evaluate_with(self, points, score)
+
+    monkeypatch.setattr(tuning.SvrObjective, "evaluate_with", recording)
+    pooled = pso_optimize(objective, space, config, workers=2)
+    assert pooled.history == serial.history
+    assert np.array_equal(pooled.best_x, serial.best_x)
+    keys = [key for points in scored for key in points]
+    distinct = list(dict.fromkeys(keys))
+    assert len(keys) == 8 * 9 and len(distinct) < len(keys)
+    assert [np.asarray(x).tobytes() for x in tasks] == list(dict.fromkeys(
+        key for points in scored
+        for key in sorted(dict.fromkeys(points), key=lambda k: -np.frombuffer(k)[0])))
+    splits = len(objective.fold_indices() or [None])
+    assert Counter(fitted) == {key: splits for key in distinct}
 
 
 def test_serial_evaluator_scores_each_generation_in_one_batch():

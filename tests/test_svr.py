@@ -26,6 +26,7 @@ from svrtune.svr import (
     mse,
     predict,
     predict_batch,
+    predict_rows,
     train_svr,
     train_svr_batch,
 )
@@ -173,6 +174,67 @@ class TestTrainSvr:
         lazy = train_svr(X, y, params, SolverSettings(max_passes=500))
         assert models_equal(lazy, dense)
         np.testing.assert_array_equal(predict_batch(lazy, X), predict_batch(dense, X))
+
+    def test_lazy_solve_keeps_its_eta_cache_bounded(self, monkeypatch):
+        """A solve on the lazy kernel holds at most ETA_CACHE_DOUBLES of
+        cached eta rows, whatever the number of indices that lead a step,
+        and its model is the dense solve's bit for bit. Peaks are traced
+        numpy allocations, in n-length rows of doubles."""
+        import tracemalloc
+
+        n = 300
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.0, 1.0, (n, 3))
+        y = np.sin(3.0 * X[:, 0]) + 0.1 * rng.standard_normal(n)
+        params = SvrParams(c=100.0, epsilon=0.01, kernel=KernelSpec(gamma=0.5))
+        settings = SolverSettings(kkt_tolerance=1e-9, max_passes=3)
+        dense = train_svr(X, y, params, settings)
+        assert dense.diagnostics.iterations == 3 * n
+        monkeypatch.setattr(svr_mod, "KERNEL_CACHE_LIMIT", 8)
+        peaks = {}
+        for cap in (8 * n, n * n):
+            monkeypatch.setattr(svr_mod, "ETA_CACHE_DOUBLES", cap)
+            tracemalloc.start()
+            try:
+                lazy = train_svr(X, y, params, settings)
+                peaks[cap] = tracemalloc.get_traced_memory()[1] / (8 * n)
+            finally:
+                tracemalloc.stop()
+            assert models_equal(lazy, dense)
+        # about 30 rows under the cap of 8, about 150 with every row cached
+        assert peaks[8 * n] < 40 < 100 < peaks[n * n]
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+def test_predict_rows_equals_predict_batch(monkeypatch, lazy):
+    """Scores read from a kernel geometry equal predict_batch bit for bit:
+    on the training rows, a holdout tail, k-fold blocks whose fit rows are
+    not contiguous, and for a model with no support vector (epsilon above
+    every |y|)."""
+    if lazy:
+        monkeypatch.setattr(svr_mod, "KERNEL_CACHE_LIMIT", 10)
+    X, y = noisy_sine(60, seed=3)
+    assert np.abs(y).max() < 10.0
+    geometry = KernelGeometry(X)
+    assert (geometry.base is None) == lazy
+    rows = np.arange(60)
+    splits = [(rows, rows), (rows[:45], rows[45:]), (np.r_[0:20, 40:60], rows[20:40]),
+              (rows[20:], rows[:20])]
+    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in
+              [(5.0, 0.05, 1.0), (100.0, 0.01, 0.05), (0.5, 0.2, 3.0), (1.0, 10.0, 1.0)]]
+    settings = SolverSettings(max_passes=20)
+    for fit, val in splits:
+        models = train_svr_batch(X[fit], y[fit], params, settings, geometry=geometry.subset(fit))
+        assert min(model.n_sv for model in models[:-1]) > 8 and models[-1].n_sv == 0
+        for model in models:
+            np.testing.assert_array_equal(model.support_inputs, X[fit][model.support_rows])
+            for scored in (val, fit):
+                got = predict_rows(model, geometry, scored, fit)
+                assert got.tobytes() == predict_batch(model, X[scored]).tobytes()
+    model = train_svr(X, y, params[0], settings, geometry=geometry)
+    assert predict_rows(model, geometry, rows).tobytes() == predict_batch(model, X).tobytes()
+    with pytest.raises(ValueError, match="support rows"):
+        predict_rows(model_from_json(model_to_json(model)), geometry, rows)
 
 
 def scalar_fits(monkeypatch, X, y, params, settings, geometry=None):

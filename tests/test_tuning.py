@@ -261,6 +261,27 @@ class TestMakeFitness:
         assert len(set(keys)) == 5
         assert Counter(fitted) == {key: splits for key in keys}
 
+    def test_scores_read_the_kernel_geometry(self, monkeypatch):
+        """The objective scores the rows its geometry holds (validation rows,
+        or the training rows for train-mse), and the sweep its training
+        rows, without predict_batch; only the sweep's test rows go through
+        it. The composition tests above pin the values."""
+        train, test = wave_split(seed=4)
+        predicted = []
+
+        def recording(model, features):
+            predicted.append(len(features))
+            return predict_batch(model, features)
+
+        monkeypatch.setattr(tuning, "predict_batch", recording)
+        for spec in (FitnessSpec.train_mse(), FitnessSpec.holdout(0.25), FitnessSpec.kfold(4)):
+            make_fitness(train, spec, settings=SETTINGS).evaluate_batch(
+                [[1.0, 0.1, 0.2], [40.0, 0.01, 3.0]])
+        assert predicted == []
+        spec = SweepSpec(varying="epsilon", grid=(0.01, 0.05, 0.1), c=2.0, gamma=0.5)
+        sweep(train, test, spec, SETTINGS)
+        assert predicted == [len(test)] * 3
+
     def test_kfold_blocks_are_contiguous(self):
         feats = np.random.default_rng(1).normal(size=(500, 5))
         sset = SupervisedSet(feats, np.random.default_rng(2).normal(size=500))
