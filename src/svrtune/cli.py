@@ -426,6 +426,9 @@ def _read_json_file(path: Path, what: str, parse):
 def cmd_predict(args: argparse.Namespace, _options: None) -> int:
     model = _read_json_file(args.model, "model", model_from_json)
     sset, has_target = supervised_from_csv(read_text(args.data, "data"))
+    if sset.features.shape[1] != model.n_features:
+        raise DataError(f"dimension mismatch: model has d={model.n_features}, "
+                        f"data d={sset.features.shape[1]}")
     columns = {"actual": sset.targets} if has_target else {}
     columns["predicted"] = predict_batch(model, sset.features)
     if args.normalizer is not None:

@@ -218,35 +218,25 @@ def _install_objective(objective: Callable) -> None:
     _WORKER_OBJECTIVE = objective
 
 
-def _evaluate(objective: Callable, points: list) -> list:
-    """Values at points, in order: one evaluate_batch call when the
-    objective has one, otherwise one call per point."""
-    batch = getattr(objective, "evaluate_batch", None)
-    if batch is not None:
-        return list(batch(points))
-    return [objective(p) for p in points]
-
-
 def _score_in_worker(point) -> float:
     """The value at one point in a pool worker."""
-    return _evaluate(_WORKER_OBJECTIVE, [point])[0]
+    return _WORKER_OBJECTIVE(point)
 
 
 class _Evaluator:
     """Batch objective evaluation, optionally over a process pool.
 
-    Without a pool, a generation is one evaluate_batch call when the
-    objective has one, otherwise one call per point. Each pool worker
-    receives the objective once, when it starts, and every point it scores
-    is a task of its own, so a free worker takes the next point and no fixed
-    share waits on its slowest fit. An objective with evaluate_with(points,
-    score), as tuning.SvrObjective has, keeps its memo in this process:
-    evaluate_with answers the points it has already scored and passes only
-    the others here, once each, so a worker's copy never meets a point twice.
-    A worker scores its point as _evaluate does, so any other objective is
-    called once per point. Results are order-preserving, so worker count
-    never changes outputs. A pool has at most batch_size workers, as more
-    would get no point, and its modules are imported only when one is built.
+    Without a pool, the objective is called once per point. Each pool
+    worker receives the objective once, when it starts, and every point it
+    scores is a task of its own and one call of its copy, so a free worker
+    takes the next point and no fixed share waits on its slowest fit. An
+    objective with evaluate_with(points, score), as tuning.SvrObjective has,
+    keeps its memo in this process: evaluate_with answers the points it has
+    already scored and passes only the others here, once each, so a worker's
+    copy never meets a point twice; any other objective is called once per
+    point. Results are order-preserving, so worker count never changes
+    outputs. A pool has at most batch_size workers, as more would get no
+    point, and its modules are imported only when one is built.
     """
 
     def __init__(self, objective: Callable, workers: int, batch_size: int) -> None:
@@ -265,7 +255,7 @@ class _Evaluator:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         rows = list(points)
         if self._pool is None:
-            values = _evaluate(self.objective, rows)
+            values = [self.objective(p) for p in rows]
         else:
             evaluate_with = getattr(self.objective, "evaluate_with", None)
             values = (evaluate_with(rows, self._in_pool) if evaluate_with is not None

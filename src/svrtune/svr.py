@@ -11,20 +11,15 @@ ascent gain, pairs it with the partner of largest second-order gain estimate,
 and solves the two-coordinate subproblem exactly (the piecewise-quadratic
 line search handles the |b| kink). Convergence is measured by the gap of the
 feasible bias window; the reported bias is that window's midpoint.
-train_svr_batch is the one fit entry: it runs this loop for many triples on
-one training set in lockstep, on (P, n) arrays, with the scalar loop's
-arithmetic per problem, so every model is the same bit for bit as a fit
-alone. A lockstep step costs several scalar steps, so the lockstep loop
-runs only while at least LOCKSTEP_MIN problems are unfinished; the last
-few, or a batch of fewer, go on alone in the scalar loop from where they
-stand. train_svr is its one-triple case, solved in the scalar loop from
-beta = 0. The scalar loop keeps each step's scalar bookkeeping on Python
-floats, which are IEEE doubles as np.float64 scalars are, in the same
-order of operations, so its models are those of numpy scalar arithmetic
-bit for bit, for a third to a half less time per step; it reuses each
-index's eta row within a solve, up to a fixed memory budget, and updates
-its three n-vectors with one subtraction, which leaves every value as it
-was.
+train_svr is the one fit entry and this loop, run from beta = 0, the one
+solver: a population or a sweep grid is fitted one triple at a time, on a
+KernelGeometry shared by the fits on one training set. The loop keeps each
+step's scalar bookkeeping on Python floats, which are IEEE doubles as
+np.float64 scalars are, in the same order of operations, so its models are
+those of numpy scalar arithmetic bit for bit, for a third to a half less
+time per step; it reuses each index's eta row within a solve, up to a fixed
+memory budget, and updates its three n-vectors with one subtraction, which
+leaves every value as it was.
 
 The kernel is the RBF kernel k(x, z) = exp(-||x - z||^2 / gamma): gamma
 denotes the full denominator of the exponent, i.e. gamma = 2*sigma^2. Larger
@@ -43,7 +38,7 @@ from __future__ import annotations
 import copy
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -58,7 +53,6 @@ __all__ = [
     "KernelGeometry",
     "kernel_eval",
     "train_svr",
-    "train_svr_batch",
     "predict",
     "predict_batch",
     "predict_rows",
@@ -73,24 +67,6 @@ __all__ = [
 # full kernel matrix is materialized up to this many training rows;
 # above it, columns are recomputed on demand
 KERNEL_CACHE_LIMIT = 4096
-
-# train_svr_batch advances its fits in lockstep while at least this many are
-# unfinished and finishes the rest one by one in the scalar loop: a lockstep
-# step costs several scalar steps, so it pays only while enough problems
-# share it. Measured once the scalar loop cached its eta rows and kept its
-# state in one array: P desk-style fits (400 fit rows of a benchmark walk,
-# max_passes 3, triples drawn from the desk box, single-threaded BLAS, 2
-# cores, best of 4) in lockstep to the end took 17.5, 13.4, 13.3, 11.5 and
-# 9.0 us per problem-step at P = 8, 12, 15, 20 and 30, and 11.2 to 11.5 us in
-# the scalar loop alone: the scalar loop is 13% faster at P = 15 and even at
-# 20, lockstep 26% faster at 30. 8-generation desk-de jobs (population 15, so
-# now all scalar) took 1.27 s a job at 16 against 1.31 s at 8, best of 4
-# alternating rounds of 8 walks, with equal outputs. End to end at the
-# default population of 30, serial 8-generation tunes on 4 benchmark walks
-# (best of 4 alternating rounds) took 8.08 s at 16 against 9.79 s in the
-# scalar loop alone for DE with holdout fitness, and 10.36 against 11.40 s
-# for PSO with train-mse, with equal outputs.
-LOCKSTEP_MIN = 16
 
 # _solve_dual keeps at most this many doubles (4 MB) of cached eta rows per
 # solve: every row while n <= 724, which covers the benchmark fits, and
@@ -180,7 +156,6 @@ class SvrModel:
     beta: np.ndarray
     bias: float
     params: SvrParams
-    n_sv: int
     diagnostics: TrainingDiagnostics
     support_rows: Optional[np.ndarray] = None
 
@@ -203,6 +178,10 @@ class SvrModel:
     @property
     def n_features(self) -> int:
         return self.support_inputs.shape[1]
+
+    @property
+    def n_sv(self) -> int:
+        return self.beta.shape[0]
 
 
 # --- kernels -----------------------------------------------------------------
@@ -316,7 +295,7 @@ class KernelGeometry:
 
 
 def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
-                tol: float, max_steps: int, start=None):
+                tol: float, max_steps: int):
     """Core pairwise ascent. Returns (beta, bias, steps, violation).
 
     Maintains three length-n arrays updated incrementally per step:
@@ -325,12 +304,11 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     dn[i]  = bias bound from lowering beta[i] (+inf once beta[i] = -c)
     The optimum is reached when max(up) - min(dn) <= tol; that window also
     yields the bias (midpoint), which reduces to the feasible-interval
-    midpoint rule when no support vector is free. start = (beta, resid, up,
-    dn, steps) resumes a solve from that state instead of from beta = 0.
-    Every fit passes a start, but the solve from zero must stay: acceptance
-    criterion 1 (tests/test_acceptance.py) and a five-point test in
-    tests/test_svr.py call it on a _DenseKernel of _kernel_matrix and compare
-    it against a reference QP solution.
+    midpoint rule when no support vector is free. The solve starts from
+    beta = 0, so resid = y. Acceptance criterion 1
+    (tests/test_acceptance.py) and a five-point test in tests/test_svr.py
+    call it on a _DenseKernel of _kernel_matrix and compare it against a
+    reference QP solution.
 
     c and epsilon are Python floats, and a step's scalar bookkeeping (the
     window ends, the pair's coefficients, the line search, the snap to the
@@ -342,17 +320,16 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     built the first time i leads a step and reused after (as LIBSVM reuses
     kernel rows per index) by the first ETA_CACHE_DOUBLES // n indices to
     lead one, and built afresh each time by the others; resid, up and dn
-    are the rows of one (3, n) copy of the start state, which one
-    subtraction of delta updates; D, the gain estimate and delta are
-    written into buffers allocated once per solve; and a _DenseKernel's
-    rows are read by plain indexing.
+    are the rows of one (3, n) array, which one subtraction of delta
+    updates; D, the gain estimate and delta are written into buffers
+    allocated once per solve; and a _DenseKernel's rows are read by plain
+    indexing.
     """
-    if start is None:
-        resid = y.astype(np.float64, copy=True)
-        start = (np.zeros(y.shape[0]), resid, resid - epsilon, resid + epsilon, 0)
-    beta, resid, up, dn, steps = start
-    state = np.stack((resid, up, dn))
+    y = np.asarray(y, dtype=np.float64)
+    beta = np.zeros(y.shape[0])
+    state = np.stack((y, y - epsilon, y + epsilon))
     resid, up, dn = state
+    steps = 0
     D, est, delta, term = np.empty((4, y.shape[0]))
     up_argmax, dn_argmin, up_item, dn_item = up.argmax, dn.argmin, up.item, dn.item
     beta_item, resid_item, est_argmax, column = beta.item, resid.item, est.argmax, kernel.column
@@ -429,196 +406,17 @@ def _solve_dual(kernel, y: np.ndarray, c: float, epsilon: float,
     return beta, 0.5 * (b_lo + b_up), steps, max(violation, 0.0)
 
 
-def _solve_dual_batch(geometry: KernelGeometry, y: np.ndarray, c: np.ndarray,
-                      epsilon: np.ndarray, gamma: np.ndarray, tol: float, max_steps: int):
-    """_solve_dual for P problems on one training set, advanced in lockstep.
-
-    Problem p has parameters (c[p], epsilon[p], gamma[p]) and owns row p of
-    (P, n) state arrays. Every step does, row by row, the scalar loop's
-    arithmetic in the same order, so each problem ends bit for bit as
-    _solve_dual would leave it. A problem retires when it converges, reaches
-    max_steps or gets stuck; the others go on. Only the two kernel rows a
-    step needs are built, so no (n, n) kernel is stored per problem. Once
-    fewer than LOCKSTEP_MIN problems are live, each goes on from where it
-    stands in _solve_dual, which is faster for so few.
-    Returns arrays (beta (P, n), bias, steps, violation).
-    """
-    P, n = c.shape[0], y.shape[0]
-    out_beta = np.zeros((P, n))
-    out_bias = np.empty(P)
-    out_steps = np.zeros(P, dtype=np.int64)
-    out_violation = np.empty(P)
-    live = np.arange(P)
-    beta = np.zeros((P, n))
-    resid = np.tile(y, (P, 1))
-    up = resid - epsilon[:, None]
-    dn = resid + epsilon[:, None]
-    snap = 1e-10 * np.maximum(1.0, c)
-    # one row of constants per live problem
-    consts = np.stack([c, -c, c - snap, -c + snap, epsilon, 2.0 * epsilon, -gamma], axis=1)
-    sign = np.array([1.0, -1.0])  # moves beta[i] by +d and beta[j] by -d
-    # the state arrays are C-contiguous, so take and put reach entry t of
-    # live problem p at at[p] + t, and entry t of its line search at at7[p] + t
-    at = live * n
-    at7 = live * 7
-    steps = 0
-
-    def retire(mask, b_lo, b_up, violation):
-        """Record the problems in mask as they stand and drop them."""
-        nonlocal live, beta, resid, up, dn, consts, at, at7
-        done = live[mask]
-        out_beta[done] = beta[mask]
-        out_bias[done] = 0.5 * (b_lo[mask] + b_up[mask])
-        out_steps[done] = steps
-        out_violation[done] = violation[mask]
-        keep = ~mask
-        live, beta, resid, up, dn, consts = (
-            live[keep], beta[keep], resid[keep], up[keep], dn[keep], consts[keep])
-        at, at7 = at[: live.size], at7[: live.size]
-        return keep
-
-    def finish_alone():
-        """Run each live problem to its end in the scalar loop."""
-        for row, p in enumerate(live):
-            state = (beta[row].copy(), resid[row], up[row], dn[row], steps)
-            out_beta[p], out_bias[p], out_steps[p], out_violation[p] = _solve_dual(
-                geometry.kernel(KernelSpec(gamma=float(gamma[p]))), y, float(consts[row, 0]),
-                float(epsilon[p]), tol, max_steps, state)
-
-    def kernel_rows(idx, neg_gamma):
-        k = geometry.rows(idx)
-        k /= neg_gamma[:, None]
-        np.exp(k, out=k)
-        return k
-
-    while live.size:
-        if live.size < LOCKSTEP_MIN:
-            finish_alone()
-            break
-        i = up.argmax(axis=1)
-        b_lo = up.take(at + i)
-        b_up = dn.take(at + dn.argmin(axis=1))
-        violation = b_lo - b_up
-        stop = violation <= tol
-        if steps >= max_steps:
-            stop[:] = True
-        if stop.any():
-            keep = retire(stop, b_lo, b_up, violation)
-            if not live.size:
-                break
-            i, b_lo, b_up, violation = i[keep], b_lo[keep], b_up[keep], violation[keep]
-        c, neg_c, top, bottom, eps, two_eps, neg_gamma = consts.T
-        ki = kernel_rows(i, neg_gamma)
-        # second-order partner choice; the RBF diagonal is exactly 1.0
-        D = b_lo[:, None] - dn
-        scratch = ki * -2.0
-        scratch += 1.0
-        scratch += 1.0
-        np.maximum(scratch, 1e-12, out=scratch)
-        est = np.abs(D)
-        est *= D
-        est /= scratch
-        j = est.argmax(axis=1)
-        fij = np.stack((at + i, at + j), axis=1)
-        pair = beta.take(fij)
-        bi, bj = pair[:, 0], pair[:, 1]
-        res = resid.take(fij)
-        a = res[:, 0] - res[:, 1]
-        eta = scratch.take(fij[:, 1])
-        # the scalar line search's candidates in its order; argmax takes the
-        # first of the best, as its strict-improvement scan does
-        d = np.empty((live.size, 7))
-        hi, lo = d[:, 0], d[:, 1]
-        np.minimum(c - bi, bj + c, out=hi)
-        np.maximum(neg_c - bi, bj - c, out=lo)
-        np.negative(bi, out=d[:, 2])
-        d[:, 3] = bj
-        np.divide(a, eta, out=d[:, 4])
-        np.divide(a - two_eps, eta, out=d[:, 5])
-        np.divide(a + two_eps, eta, out=d[:, 6])
-        g = a[:, None] * d
-        quad = (0.5 * eta)[:, None] * d
-        quad *= d
-        g -= quad
-        kink = bi[:, None] + d
-        np.abs(kink, out=kink)
-        kink -= np.abs(bi)[:, None]
-        kink_j = bj[:, None] - d
-        np.abs(kink_j, out=kink_j)
-        kink += kink_j
-        kink -= np.abs(bj)[:, None]
-        kink *= eps[:, None]
-        g -= kink
-        outside = (d < lo[:, None]) | (d > hi[:, None])
-        outside[:, 0] = False
-        np.copyto(g, -np.inf, where=outside)
-        best = at7 + g.argmax(axis=1)
-        best_d = d.take(best)
-        stuck = (g.take(best) <= 0.0) | (best_d == 0.0)
-        if stuck.any():  # numerically stuck; keep the honest violation
-            keep = retire(stuck, b_lo, b_up, violation)
-            if not live.size:
-                break
-            c, neg_c, top, bottom, eps, two_eps, neg_gamma = consts.T
-            i, j, ki, pair, best_d = i[keep], j[keep], ki[keep], pair[keep], best_d[keep]
-            fij = np.stack((at + i, at + j), axis=1)
-        new = pair + best_d[:, None] * sign
-        # both tests read the unsnapped values, as the scalar if/elif does; as
-        # C > SV_THRESHOLD exceeds the snap margin, the two windows are apart
-        to_top = new > top[:, None]
-        to_bottom = new < bottom[:, None]
-        np.copyto(new, c[:, None], where=to_top)
-        np.copyto(new, neg_c[:, None], where=to_bottom)
-        coef = new - pair
-        delta = ki
-        delta *= coef[:, :1]
-        kj = kernel_rows(j, neg_gamma)
-        kj *= coef[:, 1:]
-        # beta[j]'s term only where it moved, as in the scalar loop: adding a
-        # zero term could turn a -0.0 in delta into +0.0
-        np.add(delta, kj, out=delta, where=(new[:, 1] != pair[:, 1])[:, None])
-        resid -= delta
-        up -= delta
-        dn -= delta
-        beta.put(fij, new)  # beta[j] written last, as when i == j in the scalar loop
-        bt = beta.take(fij)
-        rt = resid.take(fij)
-        lower = rt - eps[:, None]
-        upper = rt + eps[:, None]
-        u = np.where(bt >= 0.0, lower, upper)
-        np.copyto(u, -np.inf, where=bt >= c[:, None])
-        up.put(fij, u)
-        v = np.where(bt <= 0.0, upper, lower)
-        np.copyto(v, np.inf, where=bt <= neg_c[:, None])
-        dn.put(fij, v)
-        steps += 1
-    return out_beta, out_bias, out_steps, out_violation
-
-
 def train_svr(features, targets, params: SvrParams,
               settings: SolverSettings | None = None, *,
               geometry: KernelGeometry | None = None) -> SvrModel:
-    """Fit an epsilon-SVR on (features, targets): train_svr_batch at one triple.
+    """Fit an epsilon-SVR on (features, targets): the one way into the solver.
 
-    Fully deterministic: the pair-selection rule is greedy. geometry is the
-    KernelGeometry of these features, shared by many fits on one training
-    set (often a subset of a larger one); without it one is built here. The
-    model is the same bit for bit either way.
+    Fully deterministic: the solve starts from beta = 0 and the
+    pair-selection rule is greedy. geometry is the KernelGeometry of these
+    features, shared by many fits on one training set (often a subset of a
+    larger one); without it one is built here. The model is the same bit
+    for bit either way.
     """
-    return train_svr_batch(features, targets, [params], settings, geometry=geometry)[0]
-
-
-def train_svr_batch(features, targets, params_seq: Sequence[SvrParams],
-                    settings: SolverSettings | None = None, *,
-                    geometry: KernelGeometry | None = None) -> list[SvrModel]:
-    """An epsilon-SVR fit at each of params_seq on one training set; model k
-    is the same bit for bit as train_svr at params_seq[k].
-
-    The fits advance in lockstep while at least LOCKSTEP_MIN of them are
-    unfinished, which pays off for a population or a sweep grid; the rest,
-    or a batch of fewer, go on one by one in the scalar loop.
-    """
-    params_seq = list(params_seq)
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if X.ndim != 2:
@@ -636,22 +434,13 @@ def train_svr_batch(features, targets, params_seq: Sequence[SvrParams],
         raise ValueError("geometry was built from other features")
     n = y.shape[0]
     max_passes = settings.max_passes if settings.max_passes is not None else 10 * n
-    beta, bias, steps, violation = _solve_dual_batch(
-        geometry, y,
-        np.array([p.c for p in params_seq], dtype=np.float64),
-        np.array([p.epsilon for p in params_seq], dtype=np.float64),
-        np.array([p.kernel.gamma for p in params_seq], dtype=np.float64),
-        settings.kkt_tolerance, max_passes * n,
-    )
-    models = []
-    for k, p in enumerate(params_seq):
-        sv = np.abs(beta[k]) > SV_THRESHOLD
-        models.append(SvrModel(
-            support_inputs=X[sv], beta=beta[k][sv], bias=float(bias[k]), params=p,
-            n_sv=int(sv.sum()),
-            diagnostics=TrainingDiagnostics(int(steps[k]), max(float(violation[k]), 0.0)),
-            support_rows=np.flatnonzero(sv)))
-    return models
+    beta, bias, steps, violation = _solve_dual(
+        geometry.kernel(params.kernel), y, float(params.c), float(params.epsilon),
+        settings.kkt_tolerance, max_passes * n)
+    sv = np.abs(beta) > SV_THRESHOLD
+    return SvrModel(support_inputs=X[sv], beta=beta[sv], bias=bias, params=params,
+                    diagnostics=TrainingDiagnostics(steps, violation),
+                    support_rows=np.flatnonzero(sv))
 
 
 def predict_batch(model: SvrModel, features) -> np.ndarray:
@@ -742,6 +531,8 @@ def model_from_json(text: str) -> SvrModel:
     spec = KernelSpec(kind=kd["kind"], gamma=float(kd["gamma"]))
     params = SvrParams(c=float(doc["c"]), epsilon=float(doc["epsilon"]), kernel=spec)
     m = len(doc["beta"])
+    if int(doc["n_sv"]) != m:
+        raise ValueError(f"n_sv {doc['n_sv']} disagrees with the {m} coefficients of beta")
     d = int(doc.get("n_features", 0))
     sv = np.array(doc["support_inputs"], dtype=np.float64).reshape(m, d if m == 0 else -1)
     return SvrModel(
@@ -749,7 +540,6 @@ def model_from_json(text: str) -> SvrModel:
         beta=np.array(doc["beta"], dtype=np.float64),
         bias=float(doc["bias"]),
         params=params,
-        n_sv=int(doc["n_sv"]),
         diagnostics=TrainingDiagnostics(
             iterations=int(doc["diagnostics"]["iterations"]),
             max_kkt_violation=float(doc["diagnostics"]["max_kkt_violation"]),

@@ -27,7 +27,6 @@ from .svr import (
     predict_batch,
     predict_rows,
     train_svr,
-    train_svr_batch,
 )
 
 __all__ = [
@@ -222,16 +221,16 @@ def _fingerprint(train: SupervisedSet, test: SupervisedSet) -> str:
 
 def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
           settings: SolverSettings | None = None, seed: int = 0) -> list[SweepRow]:
-    """Train one model per grid value, all in one batched fit; rows come back
-    in grid order. The training rows are scored from the fit's kernel
+    """Train one model per grid value, each on one shared kernel geometry;
+    rows come back in grid order. The training rows are scored from that
     geometry. seed is unused (the solver is deterministic)."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if len(test) == 0:
         raise ValueError("test set is empty")
     geometry = KernelGeometry(train.features)
-    models = train_svr_batch(train.features, train.targets, spec.params(), settings,
-                             geometry=geometry)
+    models = [train_svr(train.features, train.targets, params, settings, geometry=geometry)
+              for params in spec.params()]
     rows = np.arange(len(train))
     return [SweepRow(value=float(value),
                      train_mse=mse(train.targets, predict_rows(model, geometry, rows)),
@@ -264,16 +263,15 @@ class SvrObjective:
     on it (train_mse) or on its index sub-blocks (holdout and k-fold), and
     scores the validation rows (the training rows for train_mse) from the
     squared distances it holds, so repeated calls only pay for the kernel
-    map, the dual solve and the scoring sums. A batch of triples is fitted
-    with one lockstep solve per split; calling the objective on one point is
-    evaluate_batch([x])[0].
+    map, the dual solve and the scoring sums.
 
     The fitness is a pure function of the triple, so the objective keeps a
     memo of every value it has scored, keyed by the triple's float64 bytes
     (epsilon 0.0 and -0.0 are two keys), and fits each triple once in its
-    lifetime. evaluate_batch scores what the memo lacks in this process;
-    evaluate_with hands it to another scorer, such as optim's process pool,
-    whose workers each call evaluate_batch on their own copy.
+    lifetime. Calling the objective on a point scores it in this process
+    when the memo lacks it; evaluate_with hands what the memo lacks to
+    another scorer, such as optim's process pool, whose workers each call
+    their own copy.
     """
 
     kernel_kind = "rbf"
@@ -316,19 +314,14 @@ class SvrObjective:
         return self._folds
 
     def __call__(self, x) -> float:
-        return self.evaluate_batch([x])[0]
-
-    def evaluate_batch(self, points) -> list[float]:
-        """The fitness at each point, in order; the triples not yet in the
-        memo are fitted here, by one batched score call."""
-        return self.evaluate_with(points, self._score)
+        return self.evaluate_with([x], self._score)[0]
 
     def evaluate_with(self, points, score) -> list[float]:
         """The fitness at each point, in order, from the memo. The triples
         not yet in it go to score(triples) once each, largest C first (the
         fits the step cap binds on, which in a pool should start first), and
-        its values are remembered. A fit's bits do not depend on the rest
-        of its batch, so every value is that of fitting its point alone."""
+        its values are remembered. Every value is that of fitting its
+        point alone."""
         keys = [np.asarray(x, dtype=np.float64).ravel().tobytes() for x in points]
         new = list(dict.fromkeys(key for key in keys if key not in self._memo))
         if new:
@@ -337,17 +330,18 @@ class SvrObjective:
         return [self._memo[key] for key in keys]
 
     def _score(self, points) -> list[float]:
-        """The fitness at each triple, fitted now and not remembered: one
-        batched fit per split."""
+        """The fitness at each triple, fitted now and not remembered: one fit
+        per split and triple, on the split's sub-block of the geometry."""
         params = []
         for x in points:
             c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
             params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
         totals = [0.0] * len(params)
         for fit, val in self._splits:
-            models = train_svr_batch(self.features[fit], self.targets[fit], params,
-                                     self.settings, geometry=self.geometry.subset(fit))
-            for k, model in enumerate(models):
+            features, targets = self.features[fit], self.targets[fit]
+            geometry = self.geometry.subset(fit)
+            for k, p in enumerate(params):
+                model = train_svr(features, targets, p, self.settings, geometry=geometry)
                 totals[k] += mse(self.targets[val], predict_rows(model, self.geometry, val, fit))
         return [total / len(self._splits) for total in totals]
 

@@ -170,13 +170,13 @@ class TestTune:
                 "--c-range", "0.5:8", "--epsilon-range", "0.02:0.1", "--gamma-range", "0.3:1.5",
                 "--swarm", "8", "--iters", "8", "--max-passes", "3"]
         scored = []
-        evaluate_batch = tuning.SvrObjective.evaluate_batch
+        call = tuning.SvrObjective.__call__
 
-        def recording(objective, points):
-            scored.extend(np.asarray(x, dtype=np.float64).tobytes() for x in points)
-            return evaluate_batch(objective, points)
+        def recording(objective, x):
+            scored.append(np.asarray(x, dtype=np.float64).tobytes())
+            return call(objective, x)
 
-        monkeypatch.setattr(tuning.SvrObjective, "evaluate_batch", recording)
+        monkeypatch.setattr(tuning.SvrObjective, "__call__", recording)
         digests = {"report.json": "6bca1461a66b0e1a98beb848fce777953355def58c8d3527bff8b1d4fcf34acb",
                    "history.csv": "a06d266acc8edebc625dad13df916e04301a0928cca180836fea5d2ee291c977"}
         for threads in ("1", "2"):
@@ -318,7 +318,7 @@ class TestPredict:
         raw = parse_csv(data_csv.read_text())
         assert first_actual == pytest.approx(raw.rows[1].close, rel=1e-12)
 
-    def test_dimension_mismatch_exits_4(self, data_csv, tmp_path):
+    def test_header_only_data_exits_3(self, data_csv, tmp_path):
         out = tmp_path / "run"
         assert main(["train", *shared(data_csv, out), "--normalize"]) == 0
         stub = tmp_path / "narrow.csv"
@@ -326,6 +326,20 @@ class TestPredict:
         # header-only feature file is a data error
         assert main(["predict", "--model", str(out / "model.json"),
                      "--data", str(stub), "--out", str(out)]) == 3
+
+    def test_dimension_mismatch_exits_3(self, data_csv, tmp_path, capsys):
+        """A model with 4 features against data with 5 is a data error."""
+        out = tmp_path / "run"
+        assert main(["ingest", *shared(data_csv, out, test_n=None)]) == 0
+        assert main(["train", *shared(data_csv, out)]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        doc.update(support_inputs=[row[:4] for row in doc["support_inputs"]], n_features=4)
+        (tmp_path / "narrow.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(tmp_path / "narrow.json"),
+                     "--data", str(out / "supervised.csv"), "--out", str(out)]) == 3
+        assert "dimension mismatch: model has d=4, data d=5" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
 
     def test_missing_model_exits_3(self, data_csv, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "nope.json"),
@@ -351,8 +365,9 @@ class TestPredict:
         doc = json.loads((out / "model.json").read_text())
         polynomial = json.dumps({**doc, "kernel": {**doc["kernel"], "kind": "polynomial"}})
         tiny_c = json.dumps({**doc, "c": 1e-11})
+        wrong_n_sv = json.dumps({**doc, "n_sv": 99999})
         del doc["bias"]
-        for text in ('{"kernel": 1}', json.dumps(doc), "{not json", polynomial, tiny_c):
+        for text in ('{"kernel": 1}', json.dumps(doc), "{not json", polynomial, tiny_c, wrong_n_sv):
             (tmp_path / "bad.json").write_text(text)
             assert main(["predict", "--model", str(tmp_path / "bad.json"),
                          "--data", str(out / "supervised.csv"), "--out", str(out)]) == 3

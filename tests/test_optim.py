@@ -289,11 +289,11 @@ class TestPsoOptimize:
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("method", ["de", "pso"])
 def test_batched_and_per_point_objectives_agree(method, workers):
-    """An objective with evaluate_batch is scored by one call per
-    generation without a pool; in the pool its memo stays in this process
-    and each triple it has not scored is a worker task of its own, fitted
-    alone. The result is the same as calling it point by point through a
-    plain function, which the pool calls once per point."""
+    """An SvrObjective is called once per point without a pool; in the
+    pool its memo stays in this process and each triple it has not scored
+    is a worker task of its own. The result is the same as calling it
+    through a plain function, which has no memo of its own to offer, so
+    the pool calls it once per point."""
     rng = np.random.default_rng(3)
     t = np.linspace(0.0, 3.0, 41)
     feats = np.column_stack([np.sin(t + k) + 0.05 * rng.standard_normal(41) for k in range(5)])
@@ -402,13 +402,13 @@ def test_pool_fits_each_triple_once_per_tune(recording_pool, monkeypatch, spec):
     config = PsoConfig(swarm=8, iters=8, seed=0)
     serial = pso_optimize(make_fitness(train, spec, settings=settings), space, config)
     fitted = []
-    train_svr_batch = tuning.train_svr_batch
+    train_svr = tuning.train_svr
 
-    def counting(features, targets, params_seq, *args, **kwargs):
-        fitted.extend(np.array([p.c, p.epsilon, p.kernel.gamma]).tobytes() for p in params_seq)
-        return train_svr_batch(features, targets, params_seq, *args, **kwargs)
+    def counting(features, targets, params, *args, **kwargs):
+        fitted.append(np.array([params.c, params.epsilon, params.kernel.gamma]).tobytes())
+        return train_svr(features, targets, params, *args, **kwargs)
 
-    monkeypatch.setattr(tuning, "train_svr_batch", counting)
+    monkeypatch.setattr(tuning, "train_svr", counting)
     scored = []
     objective = make_fitness(train, spec, settings=settings)
     evaluate_with = tuning.SvrObjective.evaluate_with
@@ -432,22 +432,25 @@ def test_pool_fits_each_triple_once_per_tune(recording_pool, monkeypatch, spec):
     assert Counter(fitted) == {key: splits for key in distinct}
 
 
-def test_serial_evaluator_scores_each_generation_in_one_batch():
+def test_serial_evaluator_calls_the_objective_once_per_point():
+    """Without a pool, every point is one call of the objective, in order;
+    evaluate_with is for pools only."""
     class Recording:
         def __init__(self):
-            self.batches = []
+            self.calls = []
 
         def __call__(self, x):
-            raise AssertionError("a batched objective is not called point by point")
+            self.calls.append(np.asarray(x).tobytes())
+            return sphere(x)
 
-        def evaluate_batch(self, points):
-            self.batches.append(len(points))
-            return [sphere(x) for x in points]
+        def evaluate_with(self, points, score):
+            raise AssertionError("a serial run calls the objective point by point")
 
     objective = Recording()
-    result = de_optimize(objective, BOX2, DeConfig(pop_size=5, g_max=3, seed=0))
-    assert objective.batches == [5] * 4
-    assert result.history == de_optimize(sphere, BOX2, DeConfig(pop_size=5, g_max=3, seed=0)).history
+    config = DeConfig(pop_size=5, g_max=3, seed=0)
+    result = de_optimize(objective, BOX2, config)
+    assert len(objective.calls) == result.evaluations == 5 * 4
+    assert result.history == de_optimize(sphere, BOX2, config).history
 
 
 def test_history_csv_format():

@@ -28,7 +28,6 @@ from svrtune.svr import (
     predict_batch,
     predict_rows,
     train_svr,
-    train_svr_batch,
 )
 from svrtune.synth import noisy_sine
 
@@ -224,7 +223,8 @@ def test_predict_rows_equals_predict_batch(monkeypatch, lazy):
               [(5.0, 0.05, 1.0), (100.0, 0.01, 0.05), (0.5, 0.2, 3.0), (1.0, 10.0, 1.0)]]
     settings = SolverSettings(max_passes=20)
     for fit, val in splits:
-        models = train_svr_batch(X[fit], y[fit], params, settings, geometry=geometry.subset(fit))
+        subset = geometry.subset(fit)
+        models = [train_svr(X[fit], y[fit], p, settings, geometry=subset) for p in params]
         assert min(model.n_sv for model in models[:-1]) > 8 and models[-1].n_sv == 0
         for model in models:
             np.testing.assert_array_equal(model.support_inputs, X[fit][model.support_rows])
@@ -235,23 +235,6 @@ def test_predict_rows_equals_predict_batch(monkeypatch, lazy):
     assert predict_rows(model, geometry, rows).tobytes() == predict_batch(model, X).tobytes()
     with pytest.raises(ValueError, match="support rows"):
         predict_rows(model_from_json(model_to_json(model)), geometry, rows)
-
-
-def scalar_fits(monkeypatch, X, y, params, settings, geometry=None):
-    """train_svr at each of params, checked to run the scalar loop alone from
-    beta = 0: the reference the lockstep loop must equal."""
-    starts = []
-    solve_alone = svr_mod._solve_dual
-
-    def recording(kernel, y, c, epsilon, tol, max_steps, start=None):
-        starts.append(start[4])
-        return solve_alone(kernel, y, c, epsilon, tol, max_steps, start)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(svr_mod, "_solve_dual", recording)
-        models = [train_svr(X, y, p, settings, geometry=geometry) for p in params]
-    assert starts == [0] * len(params)
-    return models
 
 
 # (c, epsilon, gamma) on noisy_sine(60, seed=3) at tolerance 1e-9 and 20
@@ -265,50 +248,49 @@ STOPS = [
 ]
 
 
-@pytest.mark.parametrize("lockstep_min", [1, 3], ids=["lockstep", "handoff"])
-@pytest.mark.parametrize("count", [1, 2, len(STOPS)])
 @pytest.mark.parametrize("rows", [None, np.arange(5, 55), np.r_[0:20, 30:60]],
                          ids=["all", "contiguous", "ix"])
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
-def test_batch_equals_scalar(monkeypatch, lazy, rows, count, lockstep_min):
-    """Lockstep fits are train_svr's models bit for bit, whichever step each
-    member stops at, however the kernel rows are reached, and whether the
-    lockstep loop runs to the end or hands its last fits to the scalar loop."""
+def test_shared_geometry_fits_equal_fits_alone(monkeypatch, lazy, rows):
+    """A fit on a shared geometry, read through a contiguous view or an
+    index sub-block of its base or from the features alone (lazy), is the
+    model train_svr builds from those rows with a dense geometry of their
+    own, bit for bit, whichever way its solve ends. On all 60 rows the
+    STOPS fits end converged, capped and stuck."""
+    X, y = noisy_sine(60, seed=3)
+    if rows is None:
+        rows = np.arange(60)
+    settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
+    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in STOPS]
+    alone = [train_svr(X[rows], y[rows], p, settings) for p in params]
     if lazy:
         monkeypatch.setattr(svr_mod, "KERNEL_CACHE_LIMIT", 8)
-    X, y = noisy_sine(60, seed=3)
-    geometry = KernelGeometry(X)
-    if rows is not None:
-        X, y, geometry = X[rows], y[rows], geometry.subset(rows)
+    geometry = KernelGeometry(X).subset(rows)
     assert (geometry.base is None) == lazy
-    settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
-    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in STOPS[:count]]
-    scalar = scalar_fits(monkeypatch, X, y, params, settings, geometry)
-    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", lockstep_min)
-    batch = train_svr_batch(X, y, params, settings, geometry=geometry)
-    assert len(batch) == count
-    for a, b in zip(batch, scalar):
-        assert models_equal(a, b)
-        assert a.params == b.params
-    if rows is None and count == len(STOPS):
+    for p, model in zip(params, alone):
+        shared = train_svr(X[rows], y[rows], p, settings, geometry=geometry)
+        assert models_equal(shared, model)
+        assert shared.params == model.params
+    if rows.size == 60:
         ends = {"converged" if m.diagnostics.max_kkt_violation <= 1e-9
-                else "capped" if m.diagnostics.iterations == 1200 else "stuck" for m in scalar}
+                else "capped" if m.diagnostics.iterations == 1200 else "stuck" for m in alone}
         assert ends == {"converged", "capped", "stuck"}
 
 
-@pytest.mark.parametrize("seed, triples", [
-    (28, [(5.0, 0.1, 20.0), (0.5, 0.01, 1.0)]),  # a step lands 8.9e-16 below -C
-    (14, [(3.0, 0.0, 20.0), (0.5, 0.01, 1.0)]),  # a step lands 4.4e-16 below C
+@pytest.mark.parametrize("seed, triple, step, index, edge", [
+    (28, (5.0, 0.1, 20.0), 61, 42, -1.0),  # lands 8.9e-16 inside -C
+    (14, (3.0, 0.0, 20.0), 82, 54, 1.0),  # lands 4.4e-16 inside C
 ], ids=["lower", "upper"])
-def test_batch_snaps_to_the_box_as_scalar(monkeypatch, seed, triples):
-    """Steps that land within the snap margin of a box edge are snapped onto
-    it; the lockstep loop must snap exactly as the scalar loop does."""
+def test_steps_snap_to_the_box(seed, triple, step, index, edge):
+    """A step that lands within the snap margin of a box edge is snapped
+    onto it: the coefficient it moves equals that edge, +-C, exactly."""
+    c, eps, gamma = triple
     X, y = noisy_sine(60, seed=seed)
-    settings = SolverSettings(max_passes=20)
-    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in triples]
-    scalar = scalar_fits(monkeypatch, X, y, params, settings)
-    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 1)
-    assert all(map(models_equal, train_svr_batch(X, y, params, settings), scalar))
+    kernel = KernelGeometry(X).kernel(KernelSpec(gamma=gamma))
+    before, _, _, _ = svr_mod._solve_dual(kernel, y, c, eps, 1e-3, step - 1)
+    after, _, steps, _ = svr_mod._solve_dual(kernel, y, c, eps, 1e-3, step)
+    assert steps == step
+    assert before[index] != after[index] == edge * c
 
 
 def test_c_must_exceed_the_sv_threshold():
@@ -337,35 +319,8 @@ def test_c_is_at_most_a_quarter_of_the_largest_double():
     assert at_limit.n_sv == 31 and at_limit.bias == pytest.approx(0.0714, abs=1e-4)
 
 
-def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
-    """Once fewer than LOCKSTEP_MIN fits are unfinished, each goes on alone
-    in the scalar loop from where it stands; a batch of fewer is solved
-    alone from the start."""
-    X, y = noisy_sine(60, seed=3)
-    settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
-    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in STOPS]
-    scalar = [train_svr(X, y, p, settings) for p in params]
-    starts = []
-    solve_alone = svr_mod._solve_dual
-
-    def recording(kernel, y, c, epsilon, tol, max_steps, start=None):
-        starts.append((c, 0 if start is None else start[4]))
-        return solve_alone(kernel, y, c, epsilon, tol, max_steps, start)
-
-    monkeypatch.setattr(svr_mod, "_solve_dual", recording)
-    monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 3)
-    assert train_svr_batch(X, y, [], settings) == []
-    assert all(map(models_equal, train_svr_batch(X, y, params[:2], settings), scalar))
-    assert starts == [(5.0, 0), (100.0, 0)]
-    starts.clear()
-    assert all(map(models_equal, train_svr_batch(X, y, params, settings), scalar))
-    # the third fit to stop gets stuck in step 492; the capped and the
-    # converging one go on alone from there
-    assert starts == [(100.0, 492), (0.5, 492)]
-
-
 # rows, (c, epsilon, gamma) triples, settings and the sha256 of every fit's
-# solver output, recorded when the scalar loop was last rewritten
+# solver output, recorded when the solver loop was last rewritten
 PINNED = [
     pytest.param(60, STOPS, SolverSettings(kkt_tolerance=1e-9, max_passes=20),
                  "7f2e7e780ef5e37ed8fc8c095031c5181ae0491a316adfbfa1fa8e2057dc4ce5", id="stops"),
@@ -379,42 +334,32 @@ PINNED = [
 @pytest.mark.parametrize("rows, triples, settings, expected", PINNED)
 def test_solver_bits_are_pinned(monkeypatch, rows, triples, settings, expected):
     """The solver's output, bit for bit (the sign of a zero beta too), is the
-    one recorded in PINNED, whether a fit runs the scalar loop from
-    beta = 0, the lockstep loop to its end, or hands off from one to the
-    other. The other tests compare the two loops with each other, so a
-    change to both alike would pass them; this one would fail."""
+    one recorded in PINNED. The other tests compare fits with each other, so
+    a change to the solver alone would pass them; this one would fail."""
     X, y = noisy_sine(rows, seed=3)
-    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in triples]
-    solve_batch = svr_mod._solve_dual_batch
+    outputs = []
+    solve = svr_mod._solve_dual
 
-    def digest(fit) -> str:
-        """sha256 of every solver output of the fits that fit() makes."""
-        outputs = []
+    def recording(*args):
+        outputs.append(solve(*args))
+        return outputs[-1]
 
-        def recording(*args):
-            outputs.append(solve_batch(*args))
-            return outputs[-1]
-
-        monkeypatch.setattr(svr_mod, "_solve_dual_batch", recording)
-        fit()
-        h = hashlib.sha256()
-        for beta, bias, steps, violation in outputs:
-            for k in range(bias.shape[0]):
-                h.update(beta[k].tobytes())
-                h.update(struct.pack("<dqd", bias[k], steps[k], violation[k]))
-        return h.hexdigest()
-
-    assert digest(lambda: [train_svr(X, y, p, settings) for p in params]) == expected
-    for lockstep_min in (1, 3):
-        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", lockstep_min)
-        assert digest(lambda: train_svr_batch(X, y, params, settings)) == expected, lockstep_min
+    monkeypatch.setattr(svr_mod, "_solve_dual", recording)
+    for c, eps, gamma in triples:
+        train_svr(X, y, SvrParams(c, eps, KernelSpec(gamma=gamma)), settings)
+    h = hashlib.sha256()
+    for beta, bias, steps, violation in outputs:
+        h.update(beta.tobytes())
+        h.update(struct.pack("<dqd", bias, steps, violation))
+    assert len(outputs) == len(triples)
+    assert h.hexdigest() == expected
 
 
 class TestPredict:
     def test_no_support_vectors_returns_bias(self):
         model = SvrModel(
             support_inputs=np.zeros((0, 4)), beta=np.zeros(0), bias=2.5,
-            params=SvrParams(1.0, 0.1, RBF), n_sv=0,
+            params=SvrParams(1.0, 0.1, RBF),
             diagnostics=TrainingDiagnostics(0, 0.0),
         )
         assert predict(model, np.ones(4)) == 2.5
@@ -423,7 +368,7 @@ class TestPredict:
         sv = np.array([[0.1, -0.2]])
         model = SvrModel(
             support_inputs=sv, beta=np.array([1.0]), bias=0.25,
-            params=SvrParams(2.0, 0.1, RBF), n_sv=1,
+            params=SvrParams(2.0, 0.1, RBF),
             diagnostics=TrainingDiagnostics(0, 0.0),
         )
         assert predict(model, sv[0]) == pytest.approx(1.25, abs=1e-12)
@@ -431,7 +376,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         model = SvrModel(
             support_inputs=np.zeros((0, 4)), beta=np.zeros(0), bias=0.0,
-            params=SvrParams(1.0, 0.1, RBF), n_sv=0,
+            params=SvrParams(1.0, 0.1, RBF),
             diagnostics=TrainingDiagnostics(0, 0.0),
         )
         with pytest.raises(ValueError, match="dimension"):
@@ -488,6 +433,17 @@ class TestModelJson:
         np.testing.assert_array_equal(predict_batch(again, X), predict_batch(model, X))
         assert model_to_json(again) == model_to_json(model)
 
+    def test_n_sv_must_count_the_coefficients(self):
+        """n_sv is the length of beta; a file whose n_sv says otherwise is
+        refused."""
+        X, y = noisy_sine(40, seed=6)
+        model = train_svr(X, y, SvrParams(2.0, 0.05, KernelSpec("rbf", gamma=0.7)))
+        doc = json.loads(model_to_json(model))
+        assert doc["n_sv"] == model.n_sv == len(doc["beta"]) == model.beta.shape[0] > 0
+        for wrong in (doc["n_sv"] - 1, doc["n_sv"] + 1, 0, 99999):
+            with pytest.raises(ValueError, match="n_sv"):
+                model_from_json(json.dumps({**doc, "n_sv": wrong}))
+
     def test_round_trip_empty_model(self):
         X = np.random.default_rng(0).normal(size=(5, 3))
         model = train_svr(X, np.full(5, 1.5), SvrParams(1.0, 0.5, RBF))
@@ -516,13 +472,12 @@ def test_svr_is_blas_free_and_tuning_uses_its_public_names():
 
 
 def test_one_fit_path():
-    """train_svr_batch is the one way into the solver: train_svr makes no
-    solver call of its own, and only _solve_dual_batch hands off to _solve_dual."""
+    """train_svr is the one way into the solver: no other function of svr
+    calls _solve_dual."""
     tree = ast.parse((Path(svr_mod.__file__).parent / "svr.py").read_text(encoding="utf-8"))
     calls = {}
     for fn in tree.body:
         if isinstance(fn, ast.FunctionDef):
             calls[fn.name] = {node.func.id for node in ast.walk(fn)
                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert [name for name, called in calls.items() if "_solve_dual" in called] == ["_solve_dual_batch"]
-    assert calls["train_svr"] == {"train_svr_batch"}
+    assert [name for name, called in calls.items() if "_solve_dual" in called] == ["train_svr"]

@@ -15,7 +15,6 @@ from svrtune.svr import (
     mse,
     predict_batch,
     train_svr,
-    train_svr_batch,
 )
 from svrtune.tuning import (
     PRESET_BOXES,
@@ -104,28 +103,13 @@ class TestHeuristics:
 
 
 class TestSweep:
-    # the 8-point grid's fits stop at steps 29 to 199; with LOCKSTEP_MIN 5
-    # the fifth to stop retires at step 108, and the last four go on alone
-    # from step 109
     @pytest.mark.parametrize("grid", [(0.05,), tuple(np.linspace(0.01, 0.3, 8))],
                              ids=["1-point", "8-point"])
-    def test_single_point_equals_direct_composition(self, monkeypatch, grid):
-        """The grid is one batched fit; each row is a per-point train_svr plus
-        mse bit for bit, also where lockstep hands fits to the scalar loop."""
+    def test_single_point_equals_direct_composition(self, grid):
+        """Each row is a per-point train_svr plus mse, bit for bit."""
         train, test = wave_split()
-        starts = []
-        solve_alone = svr_mod._solve_dual
-
-        def recording(kernel, y, c, epsilon, tol, max_steps, start=None):
-            starts.append(start[4])
-            return solve_alone(kernel, y, c, epsilon, tol, max_steps, start)
-
-        monkeypatch.setattr(svr_mod, "_solve_dual", recording)
-        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 5)
         spec = SweepSpec(varying="epsilon", grid=grid, c=2.0, gamma=0.5)
         rows = sweep(train, test, spec, SETTINGS, seed=0)
-        monkeypatch.undo()
-        assert starts == ([0] if len(grid) == 1 else [109] * 4)
         assert [row.value for row in rows] == list(grid)
         for row, epsilon in zip(rows, grid):
             params = SvrParams(2.0, epsilon, KernelSpec("rbf", gamma=0.5))
@@ -205,7 +189,7 @@ class TestMakeFitness:
         objective = make_fitness(sset, FitnessSpec.train_mse(), settings=SETTINGS)
         assert objective(np.array([2.0, 0.5, 0.5])) == 0.0
 
-    def test_train_mse_matches_composition_at_default_triple(self, monkeypatch):
+    def test_train_mse_matches_composition_at_default_triple(self):
         train, _ = wave_split(seed=4)
         model = train_svr(train.features, train.targets, DEFAULT_PARAMS, SETTINGS)
         objective = make_fitness(train, FitnessSpec.train_mse(), settings=SETTINGS)
@@ -221,15 +205,17 @@ class TestMakeFitness:
                 model = train_svr(train.features[fit], train.targets[fit], DEFAULT_PARAMS, SETTINGS)
                 total += mse(train.targets[val], predict_batch(model, train.features[val]))
             assert objective(np.array([1.0, 0.1, 0.2])) == total / len(objective.fold_indices())
-        # a population scored in one lockstep batch equals its points scored
-        # one by one, each by a fresh objective (so no memo is shared)
-        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 2)
+        # evaluate_with gives its scorer's values back in point order, each
+        # equal to its point scored by a fresh objective (so no memo is
+        # shared), and later calls read them from the memo
         points = np.array([[1.0, 0.1, 0.2], [40.0, 0.01, 3.0], [300.0, 0.2, 0.5]])
         settings = SolverSettings(max_passes=3)
         for spec in (FitnessSpec.train_mse(), FitnessSpec.holdout(0.25), FitnessSpec.kfold(4)):
             objective = make_fitness(train, spec, settings=settings)
-            assert objective.evaluate_batch(points) == [
-                make_fitness(train, spec, settings=settings)(x) for x in points]
+            scorer = make_fitness(train, spec, settings=settings)
+            fresh = [make_fitness(train, spec, settings=settings)(x) for x in points]
+            assert objective.evaluate_with(points, lambda xs: [scorer(x) for x in xs]) == fresh
+            assert [objective(x) for x in points] == fresh
 
     @pytest.mark.parametrize("spec", [FitnessSpec.train_mse(), FitnessSpec.holdout(0.25),
                                       FitnessSpec.kfold(4)],
@@ -239,19 +225,17 @@ class TestMakeFitness:
         settings = SolverSettings(max_passes=3)
         fitted = []
 
-        def counting(features, targets, params_seq, *args, **kwargs):
-            fitted.extend(np.array([p.c, p.epsilon, p.kernel.gamma]).tobytes()
-                          for p in params_seq)
-            return train_svr_batch(features, targets, params_seq, *args, **kwargs)
+        def counting(features, targets, params, *args, **kwargs):
+            fitted.append(np.array([params.c, params.epsilon, params.kernel.gamma]).tobytes())
+            return train_svr(features, targets, params, *args, **kwargs)
 
-        monkeypatch.setattr(svr_mod, "LOCKSTEP_MIN", 2)
-        monkeypatch.setattr(tuning, "train_svr_batch", counting)
+        monkeypatch.setattr(tuning, "train_svr", counting)
         objective = make_fitness(train, spec, settings=settings)
         # a duplicate inside the first batch; the second repeats a triple the
         # first scored and holds epsilon 0.0 beside -0.0, which are two keys
         batches = [[[1.0, 0.1, 0.2], [40.0, 0.01, 3.0], [1.0, 0.1, 0.2], [300.0, 0.2, 0.5]],
                    [[40.0, 0.01, 3.0], [5.0, 0.0, 0.7], [5.0, -0.0, 0.7], [5.0, 0.0, 0.7]]]
-        values = [objective.evaluate_batch(np.array(batch)) for batch in batches]
+        values = [[objective(np.array(x)) for x in batch] for batch in batches]
         monkeypatch.undo()
         for batch, got in zip(batches, values):
             assert got == [make_fitness(train, spec, settings=settings)(np.array(x))
@@ -275,8 +259,9 @@ class TestMakeFitness:
 
         monkeypatch.setattr(tuning, "predict_batch", recording)
         for spec in (FitnessSpec.train_mse(), FitnessSpec.holdout(0.25), FitnessSpec.kfold(4)):
-            make_fitness(train, spec, settings=SETTINGS).evaluate_batch(
-                [[1.0, 0.1, 0.2], [40.0, 0.01, 3.0]])
+            objective = make_fitness(train, spec, settings=SETTINGS)
+            for x in ([1.0, 0.1, 0.2], [40.0, 0.01, 3.0]):
+                objective(x)
         assert predicted == []
         spec = SweepSpec(varying="epsilon", grid=(0.01, 0.05, 0.1), c=2.0, gamma=0.5)
         sweep(train, test, spec, SETTINGS)
