@@ -432,9 +432,10 @@ def test_pool_fits_each_triple_once_per_tune(recording_pool, monkeypatch, spec):
     assert Counter(fitted) == {key: splits for key in distinct}
 
 
-def test_serial_evaluator_calls_the_objective_once_per_point():
-    """Without a pool, every point is one call of the objective, in order;
-    evaluate_with is for pools only."""
+def test_serial_evaluator_scores_each_generation_in_one_batch(monkeypatch):
+    """Without a pool, each generation is one batch for the evaluator, and
+    every point of it one call of the objective, in order; evaluate_with is
+    for pools only."""
     class Recording:
         def __init__(self):
             self.calls = []
@@ -446,10 +447,20 @@ def test_serial_evaluator_calls_the_objective_once_per_point():
         def evaluate_with(self, points, score):
             raise AssertionError("a serial run calls the objective point by point")
 
+    batches = []
+    evaluate = optim._Evaluator.__call__
+
+    def recording(self, points):
+        batches.append(points.copy())
+        return evaluate(self, points)
+
+    monkeypatch.setattr(optim._Evaluator, "__call__", recording)
     objective = Recording()
     config = DeConfig(pop_size=5, g_max=3, seed=0)
     result = de_optimize(objective, BOX2, config)
-    assert len(objective.calls) == result.evaluations == 5 * 4
+    assert [len(batch) for batch in batches] == [5] * 4
+    assert objective.calls == [x.tobytes() for batch in batches for x in batch]
+    assert result.evaluations == 5 * 4
     assert result.history == de_optimize(sphere, BOX2, config).history
 
 

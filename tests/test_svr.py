@@ -1,4 +1,5 @@
 import ast
+import copy
 import hashlib
 import json
 import struct
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svrtune.svr as svr_mod
+import svrtune.tuning as tuning
+from svrtune.dataset import SupervisedSet
 from svrtune.svr import (
     KernelGeometry,
     KernelSpec,
@@ -30,6 +33,7 @@ from svrtune.svr import (
     train_svr,
 )
 from svrtune.synth import noisy_sine
+from svrtune.tuning import FitnessSpec, SvrObjective
 
 from reference_qp import reference_bias, reference_predict, reference_solution
 
@@ -248,49 +252,91 @@ STOPS = [
 ]
 
 
-@pytest.mark.parametrize("rows", [None, np.arange(5, 55), np.r_[0:20, 30:60]],
-                         ids=["all", "contiguous", "ix"])
+@pytest.mark.parametrize("mode", ["lockstep", "handoff"])
+@pytest.mark.parametrize("count", [1, 2, len(STOPS)])
+@pytest.mark.parametrize("spec", [FitnessSpec.train_mse(), FitnessSpec.holdout(1 / 6),
+                                  FitnessSpec.kfold(3)], ids=["all", "contiguous", "ix"])
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
-def test_shared_geometry_fits_equal_fits_alone(monkeypatch, lazy, rows):
-    """A fit on a shared geometry, read through a contiguous view or an
-    index sub-block of its base or from the features alone (lazy), is the
-    model train_svr builds from those rows with a dense geometry of their
-    own, bit for bit, whichever way its solve ends. On all 60 rows the
-    STOPS fits end converged, capped and stuck."""
+def test_batch_equals_scalar(monkeypatch, lazy, spec, count, mode):
+    """A batch of triples scored by an SvrObjective is the scalar composition
+    bit for bit: each fit is the model train_svr builds from its split's rows
+    alone, with a dense geometry of their own, and each fitness the mean of
+    its splits' validation MSEs. That holds whether the objective's fits read
+    its shared geometry whole (all), through a contiguous view (a holdout) or
+    through an index sub-block (the middle of 3 folds), dense or lazy; and
+    whether the whole batch goes to the objective's scorer at once, every
+    split fitted for all triples in lockstep, or is handed off one triple at
+    a time to a copy of the objective, as a pool worker scores it. On all 60
+    rows the STOPS fits end converged, capped and stuck."""
     X, y = noisy_sine(60, seed=3)
-    if rows is None:
-        rows = np.arange(60)
+    train = SupervisedSet(X, y, column_names=("x",))
     settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
-    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in STOPS]
-    alone = [train_svr(X[rows], y[rows], p, settings) for p in params]
+    rows = np.arange(60)
+    splits = SvrObjective(train, spec, settings).fold_indices() or [(rows, rows)]
+    if spec.kind == "kfold":
+        assert not np.array_equal(np.diff(splits[1][0]), np.ones(39))
+    points = [np.array(triple) for triple in STOPS[:count]]
+    alone, expected = {}, []
+    for c, eps, gamma in STOPS[:count]:
+        total = 0.0
+        for fit, val in splits:
+            model = train_svr(X[fit], y[fit], SvrParams(c, eps, KernelSpec(gamma=gamma)), settings)
+            alone[(c, eps, gamma, X[fit].tobytes())] = model
+            total += mse(y[val], predict_batch(model, X[val]))
+        expected.append(total / len(splits))
     if lazy:
         monkeypatch.setattr(svr_mod, "KERNEL_CACHE_LIMIT", 8)
-    geometry = KernelGeometry(X).subset(rows)
-    assert (geometry.base is None) == lazy
-    for p, model in zip(params, alone):
-        shared = train_svr(X[rows], y[rows], p, settings, geometry=geometry)
-        assert models_equal(shared, model)
-        assert shared.params == model.params
-    if rows.size == 60:
+    objective = SvrObjective(train, spec, settings)
+    assert (objective.geometry.base is None) == lazy
+    fitted = {}
+    fit_alone = tuning.train_svr
+
+    def recording(features, targets, params, *args, **kwargs):
+        model = fit_alone(features, targets, params, *args, **kwargs)
+        key = (params.c, params.epsilon, params.kernel.gamma, features.tobytes())
+        assert key not in fitted
+        fitted[key] = model
+        return model
+
+    monkeypatch.setattr(tuning, "train_svr", recording)
+    if mode == "lockstep":
+        scored = objective.evaluate_with(points, objective._score)
+    else:
+        worker = copy.deepcopy(objective)
+        scored = objective.evaluate_with(points, lambda triples: [worker(x) for x in triples])
+    assert scored == expected
+    assert fitted.keys() == alone.keys()
+    for key, model in alone.items():
+        assert models_equal(fitted[key], model)
+        assert fitted[key].params == model.params
+    if spec.kind == "train_mse" and count == len(STOPS):
         ends = {"converged" if m.diagnostics.max_kkt_violation <= 1e-9
-                else "capped" if m.diagnostics.iterations == 1200 else "stuck" for m in alone}
+                else "capped" if m.diagnostics.iterations == 1200 else "stuck"
+                for m in alone.values()}
         assert ends == {"converged", "capped", "stuck"}
 
 
-@pytest.mark.parametrize("seed, triple, step, index, edge", [
-    (28, (5.0, 0.1, 20.0), 61, 42, -1.0),  # lands 8.9e-16 inside -C
-    (14, (3.0, 0.0, 20.0), 82, 54, 1.0),  # lands 4.4e-16 inside C
+@pytest.mark.parametrize("seed, triples, step, index, edge", [
+    (28, [(5.0, 0.1, 20.0), (0.5, 0.01, 1.0)], 61, 42, -1.0),  # lands 8.9e-16 inside -C
+    (14, [(3.0, 0.0, 20.0), (0.5, 0.01, 1.0)], 82, 54, 1.0),  # lands 4.4e-16 inside C
 ], ids=["lower", "upper"])
-def test_steps_snap_to_the_box(seed, triple, step, index, edge):
-    """A step that lands within the snap margin of a box edge is snapped
-    onto it: the coefficient it moves equals that edge, +-C, exactly."""
-    c, eps, gamma = triple
+def test_batch_snaps_to_the_box_as_scalar(seed, triples, step, index, edge):
+    """A step that lands within the snap margin of a box edge is snapped onto
+    it: the coefficient it moves equals that edge, +-C, exactly. Fitted in a
+    batch on one shared geometry, as a sweep fits its grid, the triples give
+    the models they give alone."""
     X, y = noisy_sine(60, seed=seed)
+    c, eps, gamma = triples[0]
     kernel = KernelGeometry(X).kernel(KernelSpec(gamma=gamma))
     before, _, _, _ = svr_mod._solve_dual(kernel, y, c, eps, 1e-3, step - 1)
     after, _, steps, _ = svr_mod._solve_dual(kernel, y, c, eps, 1e-3, step)
     assert steps == step
     assert before[index] != after[index] == edge * c
+    settings = SolverSettings(max_passes=20)
+    params = [SvrParams(c, eps, KernelSpec(gamma=gamma)) for c, eps, gamma in triples]
+    geometry = KernelGeometry(X)
+    batch = [train_svr(X, y, p, settings, geometry=geometry) for p in params]
+    assert all(map(models_equal, batch, [train_svr(X, y, p, settings) for p in params]))
 
 
 def test_c_must_exceed_the_sv_threshold():
@@ -317,6 +363,32 @@ def test_c_is_at_most_a_quarter_of_the_largest_double():
     at_limit = train_svr(X, y, SvrParams(limit, 0.1, RBF), settings)
     assert models_equal(at_limit, train_svr(X, y, SvrParams(1e306, 0.1, RBF), settings))
     assert at_limit.n_sv == 31 and at_limit.bias == pytest.approx(0.0714, abs=1e-4)
+
+
+def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
+    """Every fit of a batch, the last ones too, is one run of the solver loop,
+    _solve_dual, from beta = 0 to its own end, however large the batch: an
+    objective scoring 20 triples at once makes 20 solves, each stopping at the
+    step where that triple's fit alone stops."""
+    X, y = noisy_sine(60, seed=3)
+    settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
+    alone = [train_svr(X, y, SvrParams(c, eps, KernelSpec(gamma=gamma)), settings)
+             for c, eps, gamma in STOPS]
+    objective = SvrObjective(SupervisedSet(X, y, column_names=("x",)),
+                             FitnessSpec.train_mse(), settings)
+    solves = []
+    solve = svr_mod._solve_dual
+
+    def recording(kernel, y, c, epsilon, tol, max_steps):
+        out = solve(kernel, y, c, epsilon, tol, max_steps)
+        solves.append((c, epsilon, out[2]))
+        return out
+
+    monkeypatch.setattr(svr_mod, "_solve_dual", recording)
+    scored = objective._score([np.array(triple) for triple in STOPS * 4])
+    assert solves == [(c, eps, m.diagnostics.iterations)
+                      for (c, eps, _), m in zip(STOPS, alone)] * 4
+    assert scored == [mse(y, predict_batch(m, X)) for m in alone] * 4
 
 
 # rows, (c, epsilon, gamma) triples, settings and the sha256 of every fit's
