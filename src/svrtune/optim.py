@@ -16,7 +16,6 @@ index, then the per-component uniforms; PSO draws r1 then r2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -167,15 +166,6 @@ def init_population(space: SearchSpace, size: int, seed: int) -> np.ndarray:
     return members
 
 
-@lru_cache(maxsize=1024)
-def _others(size: int, target_index: int) -> np.ndarray:
-    """The member indices other than target_index, built once per pair and
-    read-only, since every caller shares it."""
-    others = np.delete(np.arange(size), target_index)
-    others.setflags(write=False)
-    return others
-
-
 def de_mutate(members: np.ndarray, target_index: int, config: DeConfig,
               best_index: int, rng: np.random.Generator) -> np.ndarray:
     """Mutant vector for one target.
@@ -187,7 +177,7 @@ def de_mutate(members: np.ndarray, target_index: int, config: DeConfig,
     size = members.shape[0]
     if size < 4:
         raise ValueError("population too small to draw distinct partners")
-    others = _others(size, target_index)
+    others = np.delete(np.arange(size), target_index)
     if config.strategy == "rand_1_bin":
         r0, r1, r2 = rng.choice(others, size=3, replace=False)
         return members[r0] + config.f * (members[r1] - members[r2])

@@ -230,12 +230,13 @@ class _DenseKernel:
 class _LazyKernel:
     """Column-on-demand kernel for large training sets."""
 
-    def __init__(self, spec: KernelSpec, geometry: "KernelGeometry") -> None:
+    def __init__(self, spec: KernelSpec, features: np.ndarray) -> None:
         self.spec = spec
-        self.geometry = geometry
+        self.features = features
 
     def column(self, i: int) -> np.ndarray:
-        return _kernel_values(self.spec, self.geometry.rows([i])[0])
+        X = self.features
+        return _kernel_values(self.spec, _kernel_base(X[i], X))
 
 
 class KernelGeometry:
@@ -259,24 +260,13 @@ class KernelGeometry:
         """Geometry of features[rows]: an index sub-block of the base, equal to a
         fresh build on those rows bit for bit; a contiguous run is a view."""
         rows = np.asarray(rows, dtype=np.intp)
-        pick = rows
-        block = np.ix_(rows, rows)
-        if rows.size and np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
-            pick = slice(rows[0], rows[0] + rows.size)
-            block = (pick, pick)
+        contiguous = rows.size > 0 and np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
+        pick = slice(rows[0], rows[0] + rows.size) if contiguous else rows
         sub = copy.copy(self)
         sub.features = self.features[pick]
         if self.base is not None:
-            sub.base = self.base[block]
+            sub.base = self.base[pick, pick] if contiguous else self.base[np.ix_(rows, rows)]
         return sub
-
-    def rows(self, idx) -> np.ndarray:
-        """Squared distances from rows idx to every row, (len(idx), n): taken
-        from the base, or built from the features when there is none."""
-        if self.base is None:
-            X = self.features
-            return _kernel_base(X[idx][:, None, :], X[None, :, :])
-        return self.base[idx]
 
     def block(self, rows, cols) -> np.ndarray:
         """Squared distances from rows to cols, a new C-contiguous
@@ -290,7 +280,7 @@ class KernelGeometry:
     def kernel(self, spec: KernelSpec):
         """Kernel of these rows under spec, as the dual solver reads it."""
         if self.base is None:
-            return _LazyKernel(spec, self)
+            return _LazyKernel(spec, self.features)
         return _DenseKernel(_kernel_values(spec, np.array(self.base)))
 
 
@@ -533,10 +523,13 @@ def model_from_json(text: str) -> SvrModel:
     m = len(doc["beta"])
     if int(doc["n_sv"]) != m:
         raise ValueError(f"n_sv {doc['n_sv']} disagrees with the {m} coefficients of beta")
-    d = int(doc.get("n_features", 0))
+    d = int(doc["n_features"])
     sv = np.array(doc["support_inputs"], dtype=np.float64).reshape(m, d if m == 0 else -1)
+    if sv.shape[1] != d:
+        raise ValueError(f"n_features {d} disagrees with the {sv.shape[1]} columns "
+                         "of support_inputs")
     return SvrModel(
-        support_inputs=sv if m else np.zeros((0, d)),
+        support_inputs=sv,
         beta=np.array(doc["beta"], dtype=np.float64),
         bias=float(doc["bias"]),
         params=params,

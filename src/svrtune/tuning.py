@@ -259,11 +259,14 @@ def select_range_by_sv_fraction(rows: Sequence[SweepRow], train_size: int,
 class SvrObjective:
     """Pure, picklable fitness over (c, epsilon, gamma) triples.
 
-    The kernel geometry of the training rows is built once; every call fits
-    on it (train_mse) or on its index sub-blocks (holdout and k-fold), and
-    scores the validation rows (the training rows for train_mse) from the
-    squared distances it holds, so repeated calls only pay for the kernel
-    map, the dual solve and the scoring sums.
+    The splits are decided once: each validation block [a, b) (none for
+    train_mse, one at the tail for holdout, k contiguous chronological runs
+    for k-fold) and the fit rows that are the rest, with their targets. The
+    kernel geometry of the training rows is built once too; every call fits
+    on it (train_mse) or on its sub-blocks (holdout and k-fold), and scores
+    the validation rows (the training rows for train_mse) from the squared
+    distances it holds, so repeated calls only pay for the kernel map, the
+    dual solve and the scoring sums.
 
     The fitness is a pure function of the triple, so the objective keeps a
     memo of every value it has scored, keyed by the triple's float64 bytes
@@ -282,31 +285,25 @@ class SvrObjective:
             raise ValueError("train set is empty")
         self.features = train.features
         self.targets = train.targets
-        self.spec = spec
         self.settings = settings
         n = len(train)
-        self._folds: list[tuple[np.ndarray, np.ndarray]] | None
-        if spec.kind == "train_mse":
-            self._folds = None
-        elif spec.kind == "holdout":
+        blocks: list[tuple[int, int]] | None = None
+        if spec.kind == "holdout":
             n_val = max(1, int(round(spec.fraction * n)))
             if n_val >= n:
                 raise ValueError("holdout fraction leaves no training rows")
-            fit = np.arange(0, n - n_val)
-            val = np.arange(n - n_val, n)
-            self._folds = [(fit, val)]
-        else:  # contiguous chronological blocks
+            blocks = [(n - n_val, n)]
+        elif spec.kind == "kfold":
             k = int(spec.k)
             if k > n:
                 raise ValueError("more folds than rows")
             bounds = [round(i * n / k) for i in range(k + 1)]
-            self._folds = []
-            for f in range(k):
-                val = np.arange(bounds[f], bounds[f + 1])
-                fit = np.concatenate([np.arange(0, bounds[f]), np.arange(bounds[f + 1], n)])
-                self._folds.append((fit, val))
+            blocks = list(zip(bounds, bounds[1:]))
         rows = np.arange(n)
-        self._splits = self._folds or [(rows, rows)]
+        self._folds = None if blocks is None else [
+            (np.concatenate([rows[:a], rows[b:]]), rows[a:b]) for a, b in blocks]
+        self._splits = [(fit, val, self.targets[fit], self.targets[val])
+                        for fit, val in self._folds or [(rows, rows)]]
         self.geometry = KernelGeometry(self.features)
         self._memo: dict[bytes, float] = {}
 
@@ -331,18 +328,19 @@ class SvrObjective:
 
     def _score(self, points) -> list[float]:
         """The fitness at each triple, fitted now and not remembered: one fit
-        per split and triple, on the split's sub-block of the geometry."""
+        per split and triple, on the split's sub-block of the geometry (a
+        view when its fit rows are contiguous)."""
         params = []
         for x in points:
             c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
             params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
         totals = [0.0] * len(params)
-        for fit, val in self._splits:
-            features, targets = self.features[fit], self.targets[fit]
+        for fit, val, fit_targets, val_targets in self._splits:
             geometry = self.geometry.subset(fit)
             for k, p in enumerate(params):
-                model = train_svr(features, targets, p, self.settings, geometry=geometry)
-                totals[k] += mse(self.targets[val], predict_rows(model, self.geometry, val, fit))
+                model = train_svr(geometry.features, fit_targets, p, self.settings,
+                                  geometry=geometry)
+                totals[k] += mse(val_targets, predict_rows(model, self.geometry, val, fit))
         return [total / len(self._splits) for total in totals]
 
 

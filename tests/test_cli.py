@@ -366,8 +366,10 @@ class TestPredict:
         polynomial = json.dumps({**doc, "kernel": {**doc["kernel"], "kind": "polynomial"}})
         tiny_c = json.dumps({**doc, "c": 1e-11})
         wrong_n_sv = json.dumps({**doc, "n_sv": 99999})
+        wrong_n_features = json.dumps({**doc, "n_features": 4})
         del doc["bias"]
-        for text in ('{"kernel": 1}', json.dumps(doc), "{not json", polynomial, tiny_c, wrong_n_sv):
+        for text in ('{"kernel": 1}', json.dumps(doc), "{not json", polynomial, tiny_c, wrong_n_sv,
+                     wrong_n_features):
             (tmp_path / "bad.json").write_text(text)
             assert main(["predict", "--model", str(tmp_path / "bad.json"),
                          "--data", str(out / "supervised.csv"), "--out", str(out)]) == 3

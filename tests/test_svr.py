@@ -241,6 +241,26 @@ def test_predict_rows_equals_predict_batch(monkeypatch, lazy):
         predict_rows(model_from_json(model_to_json(model)), geometry, rows)
 
 
+def test_contiguous_subset_is_a_view_without_an_index_grid(monkeypatch):
+    """A contiguous run of rows is a view of the base and its features; no
+    np.ix_ grid is built for it. Other rows take an index sub-block."""
+    X = np.random.default_rng(0).normal(size=(500, 3))
+    geometry = KernelGeometry(X)
+
+    def no_grid(*args):
+        raise AssertionError("np.ix_ called")
+
+    monkeypatch.setattr(svr_mod.np, "ix_", no_grid)
+    sub = geometry.subset(np.arange(100, 400))
+    assert sub.base.base is geometry.base and sub.features.base is X
+    assert sub.base.tobytes() == KernelGeometry(X[100:400]).base.tobytes()
+    monkeypatch.undo()
+    rows = np.r_[0:100, 200:400]
+    sub = geometry.subset(rows)
+    assert not np.shares_memory(sub.base, geometry.base)
+    assert sub.base.tobytes() == KernelGeometry(X[rows]).base.tobytes()
+
+
 # (c, epsilon, gamma) on noisy_sine(60, seed=3) at tolerance 1e-9 and 20
 # passes (1,200 steps), with how the solve ends on all 60 rows
 STOPS = [
@@ -391,6 +411,23 @@ def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
     assert scored == [mse(y, predict_batch(m, X)) for m in alone] * 4
 
 
+# sha256 of np.exp at 1,000,001 points of [-30, 0] under numpy 2.4.6's
+# AVX-512 float64 exp; the AVX2 code of the same build gives 6199f2388fda6bd3...
+EXP_DIGEST = "970c0f8e2e35e044d7fab3eaec448fd9d7d5f209eefab6c434100d7336cbb2bc"
+
+
+def test_pinned_digests_belong_to_the_avx512_exp():
+    """Byte-identical outputs hold for one numpy build and one CPU dispatch
+    of np.exp: numpy picks its float64 exp kernel by CPU at run time, and
+    kernels and synthetic walks go through it. This names the dispatch that
+    the pinned digests of these tests were recorded under."""
+    digest = hashlib.sha256(np.exp(np.linspace(-30.0, 0.0, 1_000_001)).tobytes()).hexdigest()
+    assert digest == EXP_DIGEST, (
+        "np.exp is not numpy 2.4.6's AVX-512 float64 kernel here; the pinned digests in "
+        "tests/test_svr.py and tests/test_cli.py were recorded under that dispatch, so they "
+        "differ on this machine without any fault in the program")
+
+
 # rows, (c, epsilon, gamma) triples, settings and the sha256 of every fit's
 # solver output, recorded when the solver loop was last rewritten
 PINNED = [
@@ -515,6 +552,17 @@ class TestModelJson:
         for wrong in (doc["n_sv"] - 1, doc["n_sv"] + 1, 0, 99999):
             with pytest.raises(ValueError, match="n_sv"):
                 model_from_json(json.dumps({**doc, "n_sv": wrong}))
+
+    def test_n_features_must_be_the_width_of_the_support_inputs(self):
+        """A file whose n_features is not the width of its support_inputs is
+        refused, with both widths named."""
+        X = np.random.default_rng(6).uniform(-1.0, 1.0, (30, 5))
+        model = train_svr(X, np.sin(3.0 * X[:, 0]), SvrParams(2.0, 0.05, KernelSpec("rbf", gamma=0.7)))
+        doc = json.loads(model_to_json(model))
+        assert doc["n_features"] == model.n_features == 5 and model.n_sv > 0
+        for wrong in (4, 6, 0):
+            with pytest.raises(ValueError, match=f"n_features {wrong} .* 5 columns"):
+                model_from_json(json.dumps({**doc, "n_features": wrong}))
 
     def test_round_trip_empty_model(self):
         X = np.random.default_rng(0).normal(size=(5, 3))

@@ -267,6 +267,20 @@ class TestMakeFitness:
         sweep(train, test, spec, SETTINGS)
         assert predicted == [len(test)] * 3
 
+    @pytest.mark.parametrize("spec", [FitnessSpec.train_mse(), FitnessSpec.holdout(0.25),
+                                      FitnessSpec.kfold(4)],
+                             ids=["train-mse", "holdout", "kfold"])
+    def test_a_call_reads_only_its_splits_and_geometry(self, spec):
+        """The splits' rows and targets are decided when the objective is
+        built: with its features and targets gone, it scores every point as
+        a fresh objective does."""
+        train, _ = wave_split(seed=4)
+        settings = SolverSettings(max_passes=3)
+        objective = make_fitness(train, spec, settings=settings)
+        objective.features = objective.targets = None
+        for x in ([1.0, 0.1, 0.2], [40.0, 0.01, 3.0], [300.0, 0.2, 0.5]):
+            assert objective(np.array(x)) == make_fitness(train, spec, settings=settings)(np.array(x))
+
     def test_kfold_blocks_are_contiguous(self):
         feats = np.random.default_rng(1).normal(size=(500, 5))
         sset = SupervisedSet(feats, np.random.default_rng(2).normal(size=500))
