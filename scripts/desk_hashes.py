@@ -42,8 +42,7 @@ def main() -> int:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "walk.csv"
-        # make_synthetic.py's walk: its drift is 0, not synthetic_ohlcv's default
-        walk = synthetic_ohlcv(rows=701, seed=0, drift=0.0)
+        walk = synthetic_ohlcv(rows=701, seed=0)
         data.write_text(series_to_csv(walk), encoding="utf-8")
         for threads in (1, 2):
             out = Path(tmp) / f"threads-{threads}"

@@ -2,6 +2,7 @@
 """Generate a synthetic daily OHLCV CSV (geometric random walk)."""
 
 import argparse
+import inspect
 from pathlib import Path
 
 from svrtune.dataset import series_to_csv
@@ -13,9 +14,10 @@ def main() -> None:
     parser.add_argument("--rows", type=int, default=701,
                         help="calendar rows to generate (701 -> 700 supervised rows)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--drift", type=float, default=0.0)
-    parser.add_argument("--volatility", type=float, default=0.012)
-    parser.add_argument("--volume-scale", type=float, default=1e6)
+    library = inspect.signature(synthetic_ohlcv).parameters
+    parser.add_argument("--drift", type=float, default=library["drift"].default)
+    parser.add_argument("--volatility", type=float, default=library["volatility"].default)
+    parser.add_argument("--volume-scale", type=float, default=library["volume_scale"].default)
     parser.add_argument("--out", required=True, help="output CSV path")
     args = parser.parse_args()
 

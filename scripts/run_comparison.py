@@ -12,7 +12,7 @@ import functools
 import os
 from pathlib import Path
 
-from svrtune.cli import EXIT_OK, read_text, run_guarded, write
+from svrtune.cli import EXIT_OK, check_counts, read_text, run_guarded, write
 from svrtune.dataset import (
     SplitSpec,
     apply_normalizer,
@@ -59,6 +59,7 @@ def main() -> int:
 
 def configure(args: argparse.Namespace):
     """The output directory, box and search configs, checked before any fit."""
+    check_counts(args, ("rows", "train_n", "test_n", "threads"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.preset:
@@ -77,7 +78,7 @@ def compare(args: argparse.Namespace, out: Path, box: ParamBox, de_config: DeCon
     if args.data:
         series = parse_csv(read_text(Path(args.data), "data"))
     else:
-        series = synthetic_ohlcv(rows=args.rows, seed=args.synthetic_seed, drift=0.0)
+        series = synthetic_ohlcv(rows=args.rows, seed=args.synthetic_seed)
         texts["data.csv"] = series_to_csv(series)
 
     sset = build_supervised(series)

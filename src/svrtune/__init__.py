@@ -9,8 +9,6 @@ Library layout:
 """
 
 from .dataset import (
-    Bar,
-    ColumnStats,
     DataError,
     NormalizationMap,
     RawSeries,

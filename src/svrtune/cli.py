@@ -254,13 +254,17 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError("--data is required")
     if args.out is None:
         raise UsageError("--out is required")
-    given = vars(args)
-    if "x_low" in given and not args.x_up > args.x_low:
+    if "x_low" in vars(args) and not args.x_up > args.x_low:
         raise UsageError("--x-up must exceed --x-low")
-    for name in ("train_n", "test_n", "threads"):
-        if given.get(name, 1) < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+    check_counts(args, ("train_n", "test_n", "threads"))
     args.out.mkdir(parents=True, exist_ok=True)
+
+
+def check_counts(args: argparse.Namespace, names: tuple[str, ...]) -> None:
+    """Refuse a count below 1 among the named flags that args holds."""
+    for name in names:
+        if vars(args).get(name, 1) < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
 
 
 def read_text(path: Path, what: str) -> str:

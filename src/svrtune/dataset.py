@@ -26,10 +26,8 @@ from . import jsonio
 
 __all__ = [
     "DataError",
-    "Bar",
     "RawSeries",
     "SupervisedSet",
-    "ColumnStats",
     "NormalizationMap",
     "SplitSpec",
     "parse_csv",
@@ -51,6 +49,7 @@ FEATURE_COLUMNS = ("open", "high", "low", "adj_close", "volume")
 TARGET_COLUMN = "next_close"
 
 _REQUIRED = ("date", "open", "high", "low", "close", "adj_close", "volume")
+_BAR_COLUMNS = _REQUIRED[1:]
 _HEADER_ALIASES = {
     "adjclose": "adj_close",
     "adjusted_close": "adj_close",
@@ -64,40 +63,41 @@ class DataError(ValueError):
 
 
 @dataclass(frozen=True)
-class Bar:
-    """A single trading day."""
-
-    day: date
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-    volume: float
-
-
-@dataclass(frozen=True)
 class RawSeries:
-    rows: tuple[Bar, ...]
+    """Trading days in ascending order and their bars: one read-only row per
+    day of open, high, low, close, adj_close and volume, the file's columns
+    after the date."""
+
+    days: tuple[date, ...]
+    bars: np.ndarray
 
     def __post_init__(self) -> None:
+        bars = np.array(self.bars, dtype=np.float64)
+        if bars.shape != (len(self.days), len(_BAR_COLUMNS)):
+            raise DataError(f"bars must hold {len(_BAR_COLUMNS)} values for each day")
         prev = None
-        for bar in self.rows:
-            if prev is not None and bar.day <= prev:
-                raise DataError(f"dates not strictly increasing at {bar.day}")
-            prev = bar.day
-            prices = (bar.open, bar.high, bar.low, bar.close, bar.adj_close)
+        for day, (open_, high, low, close, adj_close, volume) in zip(self.days, bars.tolist()):
+            if prev is not None and day <= prev:
+                raise DataError(f"dates not strictly increasing at {day}")
+            prev = day
+            prices = (open_, high, low, close, adj_close)
             if not all(math.isfinite(p) and p > 0 for p in prices):
-                raise DataError(f"non-positive or non-finite price on {bar.day}")
-            if not (math.isfinite(bar.volume) and bar.volume >= 0):
-                raise DataError(f"negative or non-finite volume on {bar.day}")
-            if bar.high < max(bar.open, bar.close, bar.low):
-                raise DataError(f"high below open/close/low on {bar.day}")
-            if bar.low > min(bar.open, bar.close, bar.high):
-                raise DataError(f"low above open/close/high on {bar.day}")
+                raise DataError(f"non-positive or non-finite price on {day}")
+            if not (math.isfinite(volume) and volume >= 0):
+                raise DataError(f"negative or non-finite volume on {day}")
+            if high < max(open_, close, low):
+                raise DataError(f"high below open/close/low on {day}")
+            if low > min(open_, close, high):
+                raise DataError(f"low above open/close/high on {day}")
+        bars.setflags(write=False)
+        object.__setattr__(self, "bars", bars)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.days)
+
+    def column(self, name: str) -> np.ndarray:
+        """One column of the bars, such as "close", as a read-only view."""
+        return self.bars[:, _BAR_COLUMNS.index(name)]
 
 
 @dataclass(frozen=True)
@@ -132,40 +132,27 @@ class SupervisedSet:
 
 
 @dataclass(frozen=True)
-class ColumnStats:
-    name: str
-    x_min: float
-    x_max: float
-
-    def __post_init__(self) -> None:
-        if self.x_max < self.x_min:
-            raise DataError(f"column {self.name}: x_max < x_min")
-
-    @property
-    def degenerate(self) -> bool:
-        return self.x_max == self.x_min
-
-
-@dataclass(frozen=True)
 class NormalizationMap:
-    """Per-column min/max records (features then target) plus shared bounds."""
+    """The fitted minimum and maximum of each named column (features, then
+    the target), and the interval [x_low, x_up] they map onto. A column
+    whose minimum equals its maximum is degenerate."""
 
-    columns: tuple[ColumnStats, ...]
+    names: tuple[str, ...]
+    x_min: tuple[float, ...]
+    x_max: tuple[float, ...]
     x_low: float
     x_up: float
 
     def __post_init__(self) -> None:
+        if not len(self.x_min) == len(self.x_max) == len(self.names):
+            raise DataError("x_min and x_max need one value per column name")
+        for name, lo, hi in zip(self.names, self.x_min, self.x_max):
+            if hi < lo:
+                raise DataError(f"column {name}: x_max < x_min")
         if not self.x_up > self.x_low:
             raise DataError("x_up must exceed x_low")
-        names = [c.name for c in self.columns]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise DataError("duplicate column name in normalization map")
-
-    def stats_for(self, column: str) -> ColumnStats:
-        for c in self.columns:
-            if c.name == column:
-                return c
-        raise KeyError(f"no normalization record for column {column!r}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +205,7 @@ def parse_csv(source: str | TextIO | Iterable[str]) -> RawSeries:
     if missing:
         raise DataError(f"row 1: missing required column(s): {', '.join(missing)}")
 
-    bars: list[Bar] = []
+    records: list[tuple[date, list[float]]] = []
     seen: dict[date, int] = {}
     for rownum, row in rows:
         if len(row) < len(header):
@@ -231,31 +218,27 @@ def parse_csv(source: str | TextIO | Iterable[str]) -> RawSeries:
         if day in seen:
             raise DataError(f"row {rownum}: duplicate date {day} (first seen at row {seen[day]})")
         seen[day] = rownum
-        values = {}
-        for col in _REQUIRED[1:]:
+        values = []
+        for col in _BAR_COLUMNS:
             cell = row[positions[col]].strip()
             try:
-                values[col] = float(cell)
+                values.append(float(cell))
             except ValueError:
                 raise DataError(f"row {rownum}: cannot parse {col}={cell!r}") from None
-        bars.append(Bar(day=day, **values))
-    if not bars:
+        records.append((day, values))
+    if not records:
         raise DataError("row 1: header only, no data rows")
-    bars.sort(key=lambda b: b.day)
-    return RawSeries(rows=tuple(bars))
+    records.sort(key=lambda record: record[0])
+    days, bars = zip(*records)
+    return RawSeries(days, np.array(bars))
 
 
 def build_supervised(series: RawSeries) -> SupervisedSet:
     """Pair each day's OHLCV features with the following day's close."""
     if len(series) < 2:
         raise DataError("need at least 2 rows to build a supervised set")
-    rows = series.rows
-    feats = np.array(
-        [(b.open, b.high, b.low, b.adj_close, b.volume) for b in rows[:-1]],
-        dtype=np.float64,
-    )
-    targets = np.array([b.close for b in rows[1:]], dtype=np.float64)
-    return SupervisedSet(features=feats, targets=targets)
+    feats = series.bars[:-1, [_BAR_COLUMNS.index(c) for c in FEATURE_COLUMNS]]
+    return SupervisedSet(features=feats, targets=series.column("close")[1:])
 
 
 def fit_normalizer(
@@ -278,21 +261,10 @@ def fit_normalizer(
         raise DataError("fit_rows is empty")
     if idx.min() < 0 or idx.max() >= len(sset):
         raise DataError("fit_rows out of range")
-    cols = []
-    sub = sset.features[idx]
-    for k, name in enumerate(sset.column_names):
-        cols.append(ColumnStats(name, float(sub[:, k].min()), float(sub[:, k].max())))
-    targ = sset.targets[idx]
-    cols.append(ColumnStats(sset.target_name, float(targ.min()), float(targ.max())))
-    return NormalizationMap(columns=tuple(cols), x_low=float(x_low), x_up=float(x_up))
-
-
-def _apply_column(values: np.ndarray, stats: ColumnStats, x_low: float, x_up: float) -> np.ndarray:
-    if stats.degenerate:
-        return np.full_like(values, 0.5 * (x_low + x_up))
-    # keep this exact op order: fitted extremes then land exactly on the bounds
-    ratio = (values - stats.x_min) / (stats.x_max - stats.x_min)
-    return x_low + (x_up - x_low) * ratio
+    table = np.column_stack([sset.features[idx], sset.targets[idx]])
+    return NormalizationMap(sset.column_names + (sset.target_name,),
+                            tuple(table.min(axis=0).tolist()), tuple(table.max(axis=0).tolist()),
+                            float(x_low), float(x_up))
 
 
 def apply_normalizer(nmap: NormalizationMap, sset: SupervisedSet) -> SupervisedSet:
@@ -301,15 +273,17 @@ def apply_normalizer(nmap: NormalizationMap, sset: SupervisedSet) -> SupervisedS
     Values outside the fitted range extrapolate linearly; degenerate columns
     collapse to the interval midpoint.
     """
-    expected = tuple(c.name for c in nmap.columns)
     actual = sset.column_names + (sset.target_name,)
-    if expected != actual:
-        raise DataError(f"normalizer columns {expected} do not match data columns {actual}")
-    out = np.empty_like(sset.features)
-    for k, name in enumerate(sset.column_names):
-        out[:, k] = _apply_column(sset.features[:, k], nmap.stats_for(name), nmap.x_low, nmap.x_up)
-    targets = _apply_column(sset.targets, nmap.stats_for(sset.target_name), nmap.x_low, nmap.x_up)
-    return SupervisedSet(out, targets, sset.column_names, sset.target_name)
+    if nmap.names != actual:
+        raise DataError(f"normalizer columns {nmap.names} do not match data columns {actual}")
+    x_min, x_max = np.array(nmap.x_min), np.array(nmap.x_max)
+    degenerate = x_max == x_min
+    span = np.where(degenerate, 1.0, x_max - x_min)
+    table = np.column_stack([sset.features, sset.targets])
+    # keep this exact op order: fitted extremes then land exactly on the bounds
+    out = nmap.x_low + (nmap.x_up - nmap.x_low) * ((table - x_min) / span)
+    out[:, degenerate] = 0.5 * (nmap.x_low + nmap.x_up)
+    return SupervisedSet(out[:, :-1], out[:, -1], sset.column_names, sset.target_name)
 
 
 def invert_normalizer(nmap: NormalizationMap, column: str, value):
@@ -318,11 +292,14 @@ def invert_normalizer(nmap: NormalizationMap, column: str, value):
     Accepts a scalar or an ndarray. Raises for degenerate columns, where the
     inverse is undefined.
     """
-    stats = nmap.stats_for(column)
-    if stats.degenerate:
+    if column not in nmap.names:
+        raise KeyError(f"no normalization record for column {column!r}")
+    k = nmap.names.index(column)
+    x_min, x_max = nmap.x_min[k], nmap.x_max[k]
+    if x_max == x_min:
         raise DataError(f"column {column!r} is degenerate (x_min == x_max); inverse undefined")
     value = np.asarray(value, dtype=np.float64)
-    result = stats.x_min + (value - nmap.x_low) * (stats.x_max - stats.x_min) / (nmap.x_up - nmap.x_low)
+    result = x_min + (value - nmap.x_low) * (x_max - x_min) / (nmap.x_up - nmap.x_low)
     return float(result) if result.ndim == 0 else result
 
 
@@ -333,18 +310,16 @@ def split(sset: SupervisedSet, spec: SplitSpec) -> tuple[SupervisedSet, Supervis
             f"split ({spec.train_count}+{spec.test_count}) exceeds {len(sset)} rows"
         )
     a, b = spec.train_count, spec.train_count + spec.test_count
-    train = SupervisedSet(sset.features[:a].copy(), sset.targets[:a].copy(),
-                          sset.column_names, sset.target_name)
-    test = SupervisedSet(sset.features[a:b].copy(), sset.targets[a:b].copy(),
-                         sset.column_names, sset.target_name)
+    train = SupervisedSet(sset.features[:a], sset.targets[:a], sset.column_names, sset.target_name)
+    test = SupervisedSet(sset.features[a:b], sset.targets[a:b], sset.column_names, sset.target_name)
     return train, test
 
 
 # --- file formats -----------------------------------------------------------
 
 def series_to_csv(series: RawSeries) -> str:
-    return jsonio.csv_text(_REQUIRED, ((b.day, b.open, b.high, b.low, b.close, b.adj_close,
-                                        b.volume) for b in series.rows))
+    return jsonio.csv_text(_REQUIRED, ((day, *bar) for day, bar in zip(series.days,
+                                                                      series.bars.tolist())))
 
 
 def supervised_to_csv(sset: SupervisedSet) -> str:
@@ -381,16 +356,15 @@ def normalizer_to_json(nmap: NormalizationMap) -> str:
     doc = {
         "x_low": nmap.x_low,
         "x_up": nmap.x_up,
-        "columns": [
-            {"name": c.name, "x_min": c.x_min, "x_max": c.x_max} for c in nmap.columns
-        ],
+        "columns": [{"name": name, "x_min": lo, "x_max": hi}
+                    for name, lo, hi in zip(nmap.names, nmap.x_min, nmap.x_max)],
     }
     return jsonio.dumps(doc)
 
 
 def normalizer_from_json(text: str) -> NormalizationMap:
     doc = jsonio.loads(text)
-    cols = tuple(
-        ColumnStats(c["name"], float(c["x_min"]), float(c["x_max"])) for c in doc["columns"]
-    )
-    return NormalizationMap(columns=cols, x_low=float(doc["x_low"]), x_up=float(doc["x_up"]))
+    cols = doc["columns"]
+    return NormalizationMap(tuple(c["name"] for c in cols), tuple(float(c["x_min"]) for c in cols),
+                            tuple(float(c["x_max"]) for c in cols),
+                            float(doc["x_low"]), float(doc["x_up"]))

@@ -12,7 +12,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .dataset import Bar, RawSeries
+from .dataset import RawSeries
 
 __all__ = ["synthetic_ohlcv", "noisy_sine"]
 
@@ -21,7 +21,7 @@ def synthetic_ohlcv(
     rows: int,
     seed: int,
     start_price: float = 100.0,
-    drift: float = 0.0004,
+    drift: float = 0.0,
     volatility: float = 0.012,
     volume_scale: float = 1e6,
     start_date: date = date(2015, 1, 2),
@@ -39,19 +39,8 @@ def synthetic_ohlcv(
     low = np.minimum(open_, close) * np.exp(-lo_pad)
     adj_close = 0.98 * close
     volume = volume_scale * np.exp(0.3 * rng.standard_normal(rows))
-    bars = tuple(
-        Bar(
-            day=start_date + timedelta(days=int(k)),
-            open=float(open_[k]),
-            high=float(high[k]),
-            low=float(low[k]),
-            close=float(close[k]),
-            adj_close=float(adj_close[k]),
-            volume=float(volume[k]),
-        )
-        for k in range(rows)
-    )
-    return RawSeries(rows=bars)
+    days = tuple(start_date + timedelta(days=k) for k in range(rows))
+    return RawSeries(days, np.column_stack([open_, high, low, close, adj_close, volume]))
 
 
 def noisy_sine(n: int, seed: int, noise: float = 0.1) -> tuple[np.ndarray, np.ndarray]:

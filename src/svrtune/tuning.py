@@ -311,7 +311,7 @@ class SvrObjective:
         return self._folds
 
     def __call__(self, x) -> float:
-        return self.evaluate_with([x], self._score)[0]
+        return self.evaluate_with([x], lambda triples: map(self._score, triples))[0]
 
     def evaluate_with(self, points, score) -> list[float]:
         """The fitness at each point, in order, from the memo. The triples
@@ -326,22 +326,19 @@ class SvrObjective:
             self._memo.update(zip(new, score([np.frombuffer(key) for key in new])))
         return [self._memo[key] for key in keys]
 
-    def _score(self, points) -> list[float]:
-        """The fitness at each triple, fitted now and not remembered: one fit
-        per split and triple, on the split's sub-block of the geometry (a
-        view when its fit rows are contiguous)."""
-        params = []
-        for x in points:
-            c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
-            params.append(SvrParams(c, epsilon, KernelSpec(gamma=gamma)))
-        totals = [0.0] * len(params)
+    def _score(self, x) -> float:
+        """The fitness at one triple, fitted now and not remembered: one fit
+        per split, on the split's sub-block of the geometry (a view when its
+        fit rows are contiguous)."""
+        c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
+        params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
+        total = 0.0
         for fit, val, fit_targets, val_targets in self._splits:
             geometry = self.geometry.subset(fit)
-            for k, p in enumerate(params):
-                model = train_svr(geometry.features, fit_targets, p, self.settings,
-                                  geometry=geometry)
-                totals[k] += mse(val_targets, predict_rows(model, self.geometry, val, fit))
-        return [total / len(self._splits) for total in totals]
+            model = train_svr(geometry.features, fit_targets, params, self.settings,
+                              geometry=geometry)
+            total += mse(val_targets, predict_rows(model, self.geometry, val, fit))
+        return total / len(self._splits)
 
 
 def make_fitness(train: SupervisedSet, spec: FitnessSpec, kernel_kind: str = "rbf",

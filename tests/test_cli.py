@@ -26,7 +26,7 @@ from svrtune.synth import synthetic_ohlcv
 
 @pytest.fixture()
 def data_csv(tmp_path):
-    series = synthetic_ohlcv(rows=171, seed=0)
+    series = synthetic_ohlcv(rows=171, seed=0, drift=0.0004)
     path = tmp_path / "prices.csv"
     path.write_text(series_to_csv(series), encoding="utf-8")
     return path
@@ -61,7 +61,7 @@ class TestIngest:
         sset, _ = supervised_from_csv((out / "supervised.csv").read_text())
         # normalized targets invert to original price units
         raw = parse_csv(data_csv.read_text())
-        original_targets = np.array([b.close for b in raw.rows[1:]])
+        original_targets = raw.column("close")[1:]
         back = invert_normalizer(nmap, "next_close", sset.targets)
         np.testing.assert_allclose(back, original_targets, rtol=1e-12)
 
@@ -316,7 +316,7 @@ class TestPredict:
         # actual column in price units after denormalization
         first_actual = float(lines[1].split(",")[0])
         raw = parse_csv(data_csv.read_text())
-        assert first_actual == pytest.approx(raw.rows[1].close, rel=1e-12)
+        assert first_actual == pytest.approx(raw.column("close")[1], rel=1e-12)
 
     def test_header_only_data_exits_3(self, data_csv, tmp_path):
         out = tmp_path / "run"
@@ -422,6 +422,7 @@ def test_csv_artifacts_keep_pinned_bytes(data_csv, tmp_path):
                      "--out", str(tmp_path / name)]) == 0
     digests = {
         out / "supervised.csv": "477cb2b93974033b039376e14387eb1e4ebd7b5aaa57006d0aeb517855c1d32f",
+        out / "normalizer.json": "f06c841fa470409de62e2373514230f2c5835b611f06d3b213a8d6bb42c6b2a7",
         out / "sweep.csv": "45b1ef4780ee0251292f4e53fd6af4238133d9d9eb4cf3901bf74924ae5f8cf5",
         tmp_path / "target" / "predictions.csv":
             "0ae0113509fd8272ef98769cbfecc0b924f55f30527f317a147900707e094bb9",
@@ -617,7 +618,8 @@ def trained(tmp_path_factory):
     """A walk, its supervised set and a model trained on it."""
     root = tmp_path_factory.mktemp("trained")
     data = root / "prices.csv"
-    data.write_text(series_to_csv(synthetic_ohlcv(rows=171, seed=0)), encoding="utf-8")
+    data.write_text(series_to_csv(synthetic_ohlcv(rows=171, seed=0, drift=0.0004)),
+                    encoding="utf-8")
     assert main(["ingest", "--data", str(data), "--out", str(root)]) == 0
     assert main(["train", *shared(data, root)]) == 0
     return root
@@ -656,8 +658,12 @@ def test_each_command_refuses_the_flags_it_does_not_read(trained, tmp_path, caps
 @pytest.mark.parametrize("fitness, extra, code", [
     ("kfold:2", [], 0), ("bogus", [], 2), ("holdout:abc", [], 2),
     ("kfold:2", ["--np", "2"], 2), ("kfold:2", ["--train-n", "5000"], 3),
-    ("kfold:2", ["--data", "{tmp}/none.csv"], 3),
-], ids=["kfold:2-0", "bogus-2", "holdout:abc-2", "np-2", "train-n-5000", "data-missing"])
+    ("kfold:2", ["--data", "{tmp}/none.csv"], 3), ("kfold:2", ["--test-n", "0"], 2),
+    ("kfold:2", ["--rows", "0"], 2), ("kfold:2", ["--train-n", "0"], 2),
+    ("kfold:2", ["--train-n", "-5"], 2), ("kfold:2", ["--threads", "0"], 2),
+    ("kfold:2", ["--threads", "-3"], 2),
+], ids=["kfold:2-0", "bogus-2", "holdout:abc-2", "np-2", "train-n-5000", "data-missing",
+        "test-n-0", "rows-0", "train-n-0", "train-n-negative", "threads-0", "threads-negative"])
 def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, extra, code):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_comparison.py"
     src = str(Path(svrtune.__file__).resolve().parents[1])
@@ -672,6 +678,23 @@ def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, ext
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert (out / "de_report.json").exists() == (code == 0)
+
+
+def test_make_synthetic_writes_the_desk_walk(tmp_path):
+    """make_synthetic.py --rows 701 --seed 0, the walk of the desk tune, is
+    synthetic_ohlcv(rows=701, seed=0): the script takes its defaults from the
+    library."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic.py"
+    src = str(Path(svrtune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "walk.csv"
+    proc = subprocess.run([sys.executable, str(script), "--rows", "701", "--seed", "0",
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    library = series_to_csv(synthetic_ohlcv(rows=701, seed=0)).encode("utf-8")
+    written = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert written == hashlib.sha256(library).hexdigest()
+    assert written == "c897c80ad644286a7e85bec813ca8396a206e36235802760c0d47da5cde4bb34"
 
 
 def test_failed_comparison_leaves_the_previous_run_whole(tmp_path):

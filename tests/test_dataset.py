@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from svrtune.dataset import (
     DataError,
+    NormalizationMap,
     SplitSpec,
     SupervisedSet,
     apply_normalizer,
@@ -35,15 +36,26 @@ class TestParseCsv:
     def test_three_rows(self):
         series = parse_csv(CSV_3ROWS)
         assert len(series) == 3
-        days = [b.day for b in series.rows]
+        days = list(series.days)
         assert days == sorted(days)
-        assert series.rows[0].open == 10.0
-        assert series.rows[2].volume == 900.0
+        assert series.column("open")[0] == 10.0
+        assert series.column("volume")[2] == 900.0
 
     def test_newest_first_canonicalized(self):
         lines = CSV_3ROWS.strip().splitlines()
         reversed_csv = "\n".join([lines[0]] + lines[1:][::-1])
-        assert parse_csv(reversed_csv) == parse_csv(CSV_3ROWS)
+        newest_first, oldest_first = parse_csv(reversed_csv), parse_csv(CSV_3ROWS)
+        assert newest_first.days == oldest_first.days
+        assert np.array_equal(newest_first.bars, oldest_first.bars)
+
+    @pytest.mark.parametrize("source", ["csv", "synthetic"])
+    def test_bars_are_one_read_only_row_per_ascending_day(self, source):
+        series = parse_csv(CSV_3ROWS) if source == "csv" else synthetic_ohlcv(rows=40, seed=2)
+        n = len(series)
+        assert series.bars.shape == (n, 6) and series.bars.dtype == np.float64
+        assert not series.bars.flags.writeable
+        assert len(series.days) == n and list(series.days) == sorted(set(series.days))
+        np.testing.assert_array_equal(series.column("close"), series.bars[:, 3])
 
     def test_bad_volume_names_row_and_column(self):
         bad = CSV_3ROWS.replace("2020-01-03,10.5,12,10,11.5,11.4,1100",
@@ -113,21 +125,29 @@ class TestNormalizer:
     def test_min_max_extraction(self):
         sset = make_set([[10, 1, 1, 1, 1], [20, 2, 2, 2, 2]], [5, 6])
         nmap = fit_normalizer(sset, -1.0, 1.0)
-        stats = nmap.stats_for("open")
-        assert (stats.x_min, stats.x_max) == (10.0, 20.0)
-        assert not stats.degenerate
+        k = nmap.names.index("open")
+        assert (nmap.x_min[k], nmap.x_max[k]) == (10.0, 20.0)
+        assert nmap.x_min[k] != nmap.x_max[k]
 
     def test_degenerate_column_flagged(self):
         sset = make_set([[5, 1, 1, 1, 1], [5, 2, 2, 2, 2], [5, 3, 3, 3, 3]], [1, 2, 3])
         nmap = fit_normalizer(sset, -1.0, 1.0)
-        assert nmap.stats_for("open").degenerate
+        k = nmap.names.index("open")
+        assert nmap.x_min[k] == nmap.x_max[k]
 
     def test_fit_rows_restricts_range(self):
         feats = np.ones((700, 5))
         feats[:, 0] = np.arange(700.0)
         sset = make_set(feats, np.arange(700.0))
         nmap = fit_normalizer(sset, -1.0, 1.0, fit_rows=range(500))
-        assert nmap.stats_for("open").x_max == 499.0
+        assert nmap.x_max[nmap.names.index("open")] == 499.0
+
+    def test_map_needs_one_extreme_per_column(self):
+        names = ("open", "high", "low", "adj_close", "volume", "next_close")
+        with pytest.raises(DataError, match="one value per column name"):
+            NormalizationMap(names, (0.0,) * 5, (1.0,) * 6, -1.0, 1.0)
+        with pytest.raises(DataError, match="one value per column name"):
+            NormalizationMap(names, (0.0,) * 6, (1.0,) * 7, -1.0, 1.0)
 
     def test_empty_fit_range_rejected(self):
         sset = make_set([[1, 1, 1, 1, 1]], [1])

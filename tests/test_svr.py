@@ -284,10 +284,9 @@ def test_batch_equals_scalar(monkeypatch, lazy, spec, count, mode):
     its splits' validation MSEs. That holds whether the objective's fits read
     its shared geometry whole (all), through a contiguous view (a holdout) or
     through an index sub-block (the middle of 3 folds), dense or lazy; and
-    whether the whole batch goes to the objective's scorer at once, every
-    split fitted for all triples in lockstep, or is handed off one triple at
-    a time to a copy of the objective, as a pool worker scores it. On all 60
-    rows the STOPS fits end converged, capped and stuck."""
+    whether each triple of the batch goes to the objective's own scorer, or
+    is handed off to a copy of the objective, as a pool worker scores it. On
+    all 60 rows the STOPS fits end converged, capped and stuck."""
     X, y = noisy_sine(60, seed=3)
     train = SupervisedSet(X, y, column_names=("x",))
     settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
@@ -320,7 +319,8 @@ def test_batch_equals_scalar(monkeypatch, lazy, spec, count, mode):
 
     monkeypatch.setattr(tuning, "train_svr", recording)
     if mode == "lockstep":
-        scored = objective.evaluate_with(points, objective._score)
+        scored = objective.evaluate_with(points,
+                                         lambda triples: [objective._score(x) for x in triples])
     else:
         worker = copy.deepcopy(objective)
         scored = objective.evaluate_with(points, lambda triples: [worker(x) for x in triples])
@@ -388,8 +388,8 @@ def test_c_is_at_most_a_quarter_of_the_largest_double():
 def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
     """Every fit of a batch, the last ones too, is one run of the solver loop,
     _solve_dual, from beta = 0 to its own end, however large the batch: an
-    objective scoring 20 triples at once makes 20 solves, each stopping at the
-    step where that triple's fit alone stops."""
+    objective scoring 20 triples one after another makes 20 solves, each
+    stopping at the step where that triple's fit alone stops."""
     X, y = noisy_sine(60, seed=3)
     settings = SolverSettings(kkt_tolerance=1e-9, max_passes=20)
     alone = [train_svr(X, y, SvrParams(c, eps, KernelSpec(gamma=gamma)), settings)
@@ -405,7 +405,7 @@ def test_last_fits_finish_in_the_scalar_loop(monkeypatch):
         return out
 
     monkeypatch.setattr(svr_mod, "_solve_dual", recording)
-    scored = objective._score([np.array(triple) for triple in STOPS * 4])
+    scored = [objective._score(np.array(triple)) for triple in STOPS * 4]
     assert solves == [(c, eps, m.diagnostics.iterations)
                       for (c, eps, _), m in zip(STOPS, alone)] * 4
     assert scored == [mse(y, predict_batch(m, X)) for m in alone] * 4
