@@ -5,11 +5,12 @@ import argparse
 import inspect
 from pathlib import Path
 
+from svrtune.cli import run_guarded, write
 from svrtune.dataset import series_to_csv
 from svrtune.synth import synthetic_ohlcv
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=701,
                         help="calendar rows to generate (701 -> 700 supervised rows)")
@@ -21,18 +22,28 @@ def main() -> None:
     parser.add_argument("--out", required=True, help="output CSV path")
     args = parser.parse_args()
 
-    series = synthetic_ohlcv(
-        rows=args.rows,
-        seed=args.seed,
-        drift=args.drift,
-        volatility=args.volatility,
-        volume_scale=args.volume_scale,
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(series_to_csv(series), encoding="utf-8")
-    print(f"wrote {args.rows} rows -> {out}")
+    def configure():
+        """The walk, drawn before anything is written: synthetic_ohlcv's
+        refusal of a bad --rows or --seed is a usage error."""
+        series = synthetic_ohlcv(
+            rows=args.rows,
+            seed=args.seed,
+            drift=args.drift,
+            volatility=args.volatility,
+            volume_scale=args.volume_scale,
+        )
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        return lambda: save(series, out)
+
+    return run_guarded(configure)
+
+
+def save(series, out: Path) -> int:
+    write(out.parent, {out.name: series_to_csv(series)})
+    print(f"wrote {len(series)} rows -> {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from svrtune.cli import EXIT_OK, check_counts, read_text, run_guarded, write
 from svrtune.dataset import (
+    RawSeries,
     SplitSpec,
     apply_normalizer,
     build_supervised,
@@ -58,8 +59,11 @@ def main() -> int:
 
 
 def configure(args: argparse.Namespace):
-    """The output directory, box and search configs, checked before any fit."""
+    """The output directory, walk, box, search configs and fitness split,
+    checked before any fit."""
     check_counts(args, ("rows", "train_n", "test_n", "threads"))
+    args.fitness.validation_blocks(args.train_n)
+    walk = None if args.data else synthetic_ohlcv(rows=args.rows, seed=args.synthetic_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.preset:
@@ -69,17 +73,17 @@ def configure(args: argparse.Namespace):
     de_config = DeConfig(pop_size=args.np_size, g_max=args.gmax, cr=0.7, f=0.9,
                          strategy="local_to_best_1_bin", seed=args.seed)
     pso_config = PsoConfig(swarm=args.swarm, iters=args.iters, seed=args.seed)
-    return functools.partial(compare, args, out, box, de_config, pso_config)
+    return functools.partial(compare, args, out, walk, box, de_config, pso_config)
 
 
-def compare(args: argparse.Namespace, out: Path, box: ParamBox, de_config: DeConfig,
-            pso_config: PsoConfig) -> int:
+def compare(args: argparse.Namespace, out: Path, walk: RawSeries | None, box: ParamBox,
+            de_config: DeConfig, pso_config: PsoConfig) -> int:
     texts = {}
-    if args.data:
+    if walk is None:
         series = parse_csv(read_text(Path(args.data), "data"))
     else:
-        series = synthetic_ohlcv(rows=args.rows, seed=args.synthetic_seed)
-        texts["data.csv"] = series_to_csv(series)
+        series = walk
+        texts["data.csv"] = series_to_csv(walk)
 
     sset = build_supervised(series)
     nmap = fit_normalizer(sset, -1.0, 1.0, fit_rows=range(args.train_n))

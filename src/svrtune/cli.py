@@ -347,7 +347,10 @@ def cmd_sweep(args: argparse.Namespace, options) -> int:
     vary, grid, fixed, settings = options
     train, test, _ = _prepare(args)
     if "c" not in fixed and vary != "c":
-        fixed["c"] = heuristic_c(train.targets)
+        try:
+            fixed["c"] = heuristic_c(train.targets)
+        except ValueError as exc:
+            raise UsageError(f"default C: {exc}; raise --train-n or give --fix c=VALUE") from exc
     if "gamma" not in fixed and vary != "gamma":
         fixed["gamma"] = heuristic_gamma()
     if "epsilon" not in fixed and vary != "epsilon":
@@ -379,7 +382,9 @@ def _tune_options(args: argparse.Namespace):
     else:
         config = PsoConfig(swarm=args.swarm, w=args.w, c1=args.c1, c2=args.c2, iters=args.iters,
                            v_max_fraction=args.vmax_fraction, seed=args.seed)
-    return box, config, FitnessSpec.parse(args.fitness), _settings(args)
+    fitness = FitnessSpec.parse(args.fitness)
+    fitness.validation_blocks(args.train_n)  # refuses a split the training rows cannot take
+    return box, config, fitness, _settings(args)
 
 
 def cmd_tune(args: argparse.Namespace, options) -> int:

@@ -100,8 +100,8 @@ class DeConfig:
     def __post_init__(self) -> None:
         if self.pop_size < 4:
             raise ValueError("pop_size must be >= 4 (mutation draws three distinct partners)")
-        if not self.f > 0:
-            raise ValueError("f must be > 0")
+        if not 0 < self.f < np.inf:
+            raise ValueError("f must be finite and > 0")
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError("cr must lie in [0, 1]")
         if self.strategy not in DE_STRATEGIES:
@@ -127,8 +127,10 @@ class PsoConfig:
             raise ValueError("swarm must be >= 2")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("acceleration coefficients must be >= 0")
+        if not np.isfinite(self.w):
+            raise ValueError("w must be finite")
+        if not (0 <= self.c1 < np.inf and 0 <= self.c2 < np.inf):
+            raise ValueError("acceleration coefficients must be finite and >= 0")
         if not 0.0 < self.v_max_fraction <= 1.0:
             raise ValueError("v_max_fraction must lie in (0, 1]")
         if self.seed < 0:

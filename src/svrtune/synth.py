@@ -28,6 +28,8 @@ def synthetic_ohlcv(
 ) -> RawSeries:
     if rows < 1:
         raise ValueError("rows must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     log_ret = drift + volatility * rng.standard_normal(rows)
     close = start_price * np.exp(np.cumsum(log_ret))

@@ -127,6 +127,24 @@ class FitnessSpec:
             return cls.kfold(int(text.split(":", 1)[1]))
         raise ValueError(f"unknown fitness spec {text!r}")
 
+    def validation_blocks(self, n: int) -> list[tuple[int, int]] | None:
+        """The validation blocks [a, b) of n training rows, the fit rows being
+        the rest: none for train_mse, one at the tail for holdout, k
+        contiguous chronological runs for kfold. A split that n rows cannot
+        take is a ValueError."""
+        if self.kind == "holdout":
+            n_val = max(1, int(round(self.fraction * n)))
+            if n_val >= n:
+                raise ValueError("holdout fraction leaves no training rows")
+            return [(n - n_val, n)]
+        if self.kind == "kfold":
+            k = int(self.k)
+            if k > n:
+                raise ValueError("more folds than rows")
+            bounds = [round(i * n / k) for i in range(k + 1)]
+            return list(zip(bounds, bounds[1:]))
+        return None
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -219,24 +237,29 @@ def _fingerprint(train: SupervisedSet, test: SupervisedSet) -> str:
     return h.hexdigest()[:16]
 
 
-def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
-          settings: SolverSettings | None = None, seed: int = 0) -> list[SweepRow]:
-    """Train one model per grid value, each on one shared kernel geometry;
-    rows come back in grid order. The training rows are scored from that
-    geometry. seed is unused (the solver is deterministic)."""
+def _fit_and_score(train: SupervisedSet, test: SupervisedSet, params: Sequence[SvrParams],
+                   settings: SolverSettings | None):
+    """(model, train MSE, test MSE) per SvrParams, in order: each fitted on one
+    kernel geometry of the training rows, which also scores them."""
     if len(train) == 0:
         raise ValueError("train set is empty")
     if len(test) == 0:
         raise ValueError("test set is empty")
     geometry = KernelGeometry(train.features)
-    models = [train_svr(train.features, train.targets, params, settings, geometry=geometry)
-              for params in spec.params()]
     rows = np.arange(len(train))
-    return [SweepRow(value=float(value),
-                     train_mse=mse(train.targets, predict_rows(model, geometry, rows)),
-                     test_mse=mse(test.targets, predict_batch(model, test.features)),
-                     n_sv=model.n_sv)
-            for value, model in zip(spec.grid, models)]
+    for p in params:
+        model = train_svr(train.features, train.targets, p, settings, geometry=geometry)
+        yield (model, mse(train.targets, predict_rows(model, geometry, rows)),
+               mse(test.targets, predict_batch(model, test.features)))
+
+
+def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
+          settings: SolverSettings | None = None, seed: int = 0) -> list[SweepRow]:
+    """Train one model per grid value, each on one shared kernel geometry; rows
+    come back in grid order. seed is unused (the solver is deterministic)."""
+    fits = _fit_and_score(train, test, spec.params(), settings)
+    return [SweepRow(float(value), train_mse, test_mse, model.n_sv)
+            for value, (model, train_mse, test_mse) in zip(spec.grid, fits)]
 
 
 def select_range_by_sv_fraction(rows: Sequence[SweepRow], train_size: int,
@@ -259,14 +282,13 @@ def select_range_by_sv_fraction(rows: Sequence[SweepRow], train_size: int,
 class SvrObjective:
     """Pure, picklable fitness over (c, epsilon, gamma) triples.
 
-    The splits are decided once: each validation block [a, b) (none for
-    train_mse, one at the tail for holdout, k contiguous chronological runs
-    for k-fold) and the fit rows that are the rest, with their targets. The
-    kernel geometry of the training rows is built once too; every call fits
-    on it (train_mse) or on its sub-blocks (holdout and k-fold), and scores
-    the validation rows (the training rows for train_mse) from the squared
-    distances it holds, so repeated calls only pay for the kernel map, the
-    dual solve and the scoring sums.
+    The splits are decided once: the spec's validation blocks and the fit
+    rows that are the rest, with their targets. The kernel geometry of the
+    training rows is built once too; every call fits on it (train_mse) or
+    on its sub-blocks (holdout and k-fold), and scores the validation rows
+    (the training rows for train_mse) from the squared distances it holds,
+    so repeated calls only pay for the kernel map, the dual solve and the
+    scoring sums.
 
     The fitness is a pure function of the triple, so the objective keeps a
     memo of every value it has scored, keyed by the triple's float64 bytes
@@ -286,20 +308,8 @@ class SvrObjective:
         self.features = train.features
         self.targets = train.targets
         self.settings = settings
-        n = len(train)
-        blocks: list[tuple[int, int]] | None = None
-        if spec.kind == "holdout":
-            n_val = max(1, int(round(spec.fraction * n)))
-            if n_val >= n:
-                raise ValueError("holdout fraction leaves no training rows")
-            blocks = [(n - n_val, n)]
-        elif spec.kind == "kfold":
-            k = int(spec.k)
-            if k > n:
-                raise ValueError("more folds than rows")
-            bounds = [round(i * n / k) for i in range(k + 1)]
-            blocks = list(zip(bounds, bounds[1:]))
-        rows = np.arange(n)
+        blocks = spec.validation_blocks(len(train))
+        rows = np.arange(len(train))
         self._folds = None if blocks is None else [
             (np.concatenate([rows[:a], rows[b:]]), rows[a:b]) for a, b in blocks]
         self._splits = [(fit, val, self.targets[fit], self.targets[val])
@@ -353,17 +363,11 @@ def evaluate_triple(train: SupervisedSet, test: SupervisedSet,
                     c: float, epsilon: float, gamma: float,
                     settings: SolverSettings | None = None, seed: int = 0,
                     method: str = "svm_default") -> tuple[TuneReport, SvrModel]:
-    """Train at one triple and report train/test MSE and the SV count.
-    seed is unused (the solver is deterministic)."""
-    if len(train) == 0:
-        raise ValueError("train set is empty")
-    if len(test) == 0:
-        raise ValueError("test set is empty")
+    """Train at one triple and report train/test MSE and the SV count: the
+    one-point sweep. seed is unused (the solver is deterministic)."""
     params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
     t0 = time.perf_counter()
-    model = train_svr(train.features, train.targets, params, settings)
-    train_mse = mse(train.targets, predict_batch(model, train.features))
-    test_mse = mse(test.targets, predict_batch(model, test.features))
+    (model, train_mse, test_mse), = _fit_and_score(train, test, [params], settings)
     wall = time.perf_counter() - t0
     report = TuneReport(
         method=method, c=float(c), epsilon=float(epsilon), gamma=float(gamma),

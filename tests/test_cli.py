@@ -573,6 +573,14 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
     (["train", "--c", "1e308"], {}),
     ([*TUNE, "--c-range", "1:1e308"], {}),
     (["sweep", "--vary", "c", "--grid", "1:1e308:3"], {}),
+    ([*TUNE, "--fitness", "kfold:121"], {}),
+    ([*TUNE, "--fitness", "holdout:0.999"], {}),
+    ([*TUNE, "--method", "pso", "--w", "nan"], {}),
+    ([*TUNE, "--method", "pso", "--w", "inf"], {}),
+    ([*TUNE, "--method", "pso", "--c1", "nan"], {}),
+    ([*TUNE, "--method", "pso", "--c2", "inf"], {}),
+    ([*TUNE, "--f", "inf"], {}),
+    (["sweep", "--train-n", "1", "--vary", "epsilon", "--grid", "0.01:0.2:3"], {}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
         "out-under-a-file", "config-normalize-string", "c-range-below-sv-threshold",
@@ -580,7 +588,9 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
         "config-grid-list", "config-method-ga", "threads-0", "config-threads-0",
         "fitness-unknown", "config-np-size-4.7", "config-threads-1.5", "config-c-range-list",
         "train-c-1e-300", "train-c-1e-9", "fix-c-inf", "fix-epsilon-inf", "grid-hi-inf",
-        "grid-c-1e-300", "train-c-1e308", "c-range-to-1e308", "grid-c-to-1e308"])
+        "grid-c-1e-300", "train-c-1e308", "c-range-to-1e308", "grid-c-to-1e308",
+        "kfold-121-of-120", "holdout-0.999", "pso-w-nan", "pso-w-inf", "pso-c1-nan",
+        "pso-c2-inf", "de-f-inf", "sweep-default-c-train-n-1"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range
@@ -661,9 +671,11 @@ def test_each_command_refuses_the_flags_it_does_not_read(trained, tmp_path, caps
     ("kfold:2", ["--data", "{tmp}/none.csv"], 3), ("kfold:2", ["--test-n", "0"], 2),
     ("kfold:2", ["--rows", "0"], 2), ("kfold:2", ["--train-n", "0"], 2),
     ("kfold:2", ["--train-n", "-5"], 2), ("kfold:2", ["--threads", "0"], 2),
-    ("kfold:2", ["--threads", "-3"], 2),
+    ("kfold:2", ["--threads", "-3"], 2), ("kfold:100", [], 2),
+    ("kfold:2", ["--synthetic-seed", "-1"], 2),
 ], ids=["kfold:2-0", "bogus-2", "holdout:abc-2", "np-2", "train-n-5000", "data-missing",
-        "test-n-0", "rows-0", "train-n-0", "train-n-negative", "threads-0", "threads-negative"])
+        "test-n-0", "rows-0", "train-n-0", "train-n-negative", "threads-0", "threads-negative",
+        "kfold:100-of-80", "synthetic-seed-negative"])
 def test_comparison_script_parses_fitness_as_the_cli_does(tmp_path, fitness, extra, code):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_comparison.py"
     src = str(Path(svrtune.__file__).resolve().parents[1])
@@ -695,6 +707,19 @@ def test_make_synthetic_writes_the_desk_walk(tmp_path):
     written = hashlib.sha256(out.read_bytes()).hexdigest()
     assert written == hashlib.sha256(library).hexdigest()
     assert written == "c897c80ad644286a7e85bec813ca8396a206e36235802760c0d47da5cde4bb34"
+
+
+@pytest.mark.parametrize("flag, value", [("--rows", "0"), ("--seed", "-3")])
+def test_make_synthetic_refuses_bad_values_with_exit_2(tmp_path, flag, value):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic.py"
+    src = str(Path(svrtune.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "walk.csv"
+    proc = subprocess.run([sys.executable, str(script), flag, value, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_failed_comparison_leaves_the_previous_run_whole(tmp_path):

@@ -61,12 +61,19 @@ class TestConfigs:
             DeConfig(cr=1.5)
         with pytest.raises(ValueError):
             DeConfig(strategy="best_2_exp")
+        for f in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                DeConfig(f=f)
 
     def test_pso_bad_values(self):
         with pytest.raises(ValueError):
             PsoConfig(swarm=1)
         with pytest.raises(ValueError):
             PsoConfig(v_max_fraction=0.0)
+        for name in ("w", "c1", "c2"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    PsoConfig(**{name: value})
 
 
 class TestInitPopulation:

@@ -247,9 +247,10 @@ class TestMakeFitness:
 
     def test_scores_read_the_kernel_geometry(self, monkeypatch):
         """The objective scores the rows its geometry holds (validation rows,
-        or the training rows for train-mse), and the sweep its training
-        rows, without predict_batch; only the sweep's test rows go through
-        it. The composition tests above pin the values."""
+        or the training rows for train-mse), and the sweep and
+        evaluate_triple their training rows, without predict_batch; only
+        their test rows go through it. Every fit is given its geometry. The
+        composition tests above pin the values."""
         train, test = wave_split(seed=4)
         predicted = []
 
@@ -257,7 +258,12 @@ class TestMakeFitness:
             predicted.append(len(features))
             return predict_batch(model, features)
 
+        def fit_on_geometry(features, targets, params, settings=None, *, geometry=None):
+            assert geometry is not None
+            return train_svr(features, targets, params, settings, geometry=geometry)
+
         monkeypatch.setattr(tuning, "predict_batch", recording)
+        monkeypatch.setattr(tuning, "train_svr", fit_on_geometry)
         for spec in (FitnessSpec.train_mse(), FitnessSpec.holdout(0.25), FitnessSpec.kfold(4)):
             objective = make_fitness(train, spec, settings=SETTINGS)
             for x in ([1.0, 0.1, 0.2], [40.0, 0.01, 3.0]):
@@ -266,6 +272,8 @@ class TestMakeFitness:
         spec = SweepSpec(varying="epsilon", grid=(0.01, 0.05, 0.1), c=2.0, gamma=0.5)
         sweep(train, test, spec, SETTINGS)
         assert predicted == [len(test)] * 3
+        evaluate_triple(train, test, 2.0, 0.05, 0.5, settings=SETTINGS)
+        assert predicted == [len(test)] * 4
 
     @pytest.mark.parametrize("spec", [FitnessSpec.train_mse(), FitnessSpec.holdout(0.25),
                                       FitnessSpec.kfold(4)],
