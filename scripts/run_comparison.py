@@ -62,7 +62,7 @@ def configure(args: argparse.Namespace):
     """The output directory, walk, box, search configs and fitness split,
     checked before any fit."""
     check_counts(args, ("rows", "train_n", "test_n", "threads"))
-    args.fitness.validation_blocks(args.train_n)
+    args.fitness.splits(args.train_n)
     walk = None if args.data else synthetic_ohlcv(rows=args.rows, seed=args.synthetic_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

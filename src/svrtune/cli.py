@@ -254,8 +254,8 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError("--data is required")
     if args.out is None:
         raise UsageError("--out is required")
-    if "x_low" in vars(args) and not args.x_up > args.x_low:
-        raise UsageError("--x-up must exceed --x-low")
+    if "x_low" in vars(args):
+        NormalizationMap((), (), (), args.x_low, args.x_up)  # refuses a bad interval
     check_counts(args, ("train_n", "test_n", "threads"))
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -281,25 +281,23 @@ def _load_supervised(args: argparse.Namespace) -> SupervisedSet:
     return build_supervised(parse_csv(read_text(args.data, "data")))
 
 
-def _normalize(args: argparse.Namespace,
-               sset: SupervisedSet) -> tuple[SupervisedSet, NormalizationMap | None]:
+def _normalizer(args: argparse.Namespace, sset: SupervisedSet) -> NormalizationMap | None:
+    """The map of --normalize, fitted on the first --train-n rows or, under
+    --fit-range full, on every supervised row; None without --normalize."""
     if not args.normalize:
-        return sset, None
-    rows = range(args.train_n) if args.fit_range == "train" else range(len(sset))
-    nmap = fit_normalizer(sset, args.x_low, args.x_up, rows)
-    return apply_normalizer(nmap, sset), nmap
+        return None
+    fit = split(sset, SplitSpec(args.train_n))[0] if args.fit_range == "train" else sset
+    return fit_normalizer(fit, args.x_low, args.x_up)
 
 
 def _prepare(args: argparse.Namespace
              ) -> tuple[SupervisedSet, SupervisedSet, NormalizationMap | None]:
-    """Ingest, optionally normalize, split."""
+    """Ingest, split, and normalize both parts when asked."""
     sset = _load_supervised(args)
-    if args.train_n + args.test_n > len(sset):
-        raise DataError(
-            f"split {args.train_n}+{args.test_n} exceeds the {len(sset)} supervised rows"
-        )
-    sset, nmap = _normalize(args, sset)
     train, test = split(sset, SplitSpec(args.train_n, args.test_n))
+    nmap = _normalizer(args, sset)
+    if nmap is not None:
+        train, test = apply_normalizer(nmap, train), apply_normalizer(nmap, test)
     return train, test, nmap
 
 
@@ -322,9 +320,9 @@ def write(out_dir: Path, texts: dict[str, str]) -> None:
 
 def cmd_ingest(args: argparse.Namespace, _options: None) -> int:
     sset = _load_supervised(args)
-    if args.normalize and args.fit_range == "train" and args.train_n > len(sset):
-        raise DataError(f"--train-n {args.train_n} exceeds the {len(sset)} supervised rows")
-    sset, nmap = _normalize(args, sset)
+    nmap = _normalizer(args, sset)
+    if nmap is not None:
+        sset = apply_normalizer(nmap, sset)
     texts = {"supervised.csv": supervised_to_csv(sset)}
     if nmap is not None:
         texts["normalizer.json"] = normalizer_to_json(nmap)
@@ -383,7 +381,7 @@ def _tune_options(args: argparse.Namespace):
         config = PsoConfig(swarm=args.swarm, w=args.w, c1=args.c1, c2=args.c2, iters=args.iters,
                            v_max_fraction=args.vmax_fraction, seed=args.seed)
     fitness = FitnessSpec.parse(args.fitness)
-    fitness.validation_blocks(args.train_n)  # refuses a split the training rows cannot take
+    fitness.splits(args.train_n)  # refuses a split the training rows cannot take
     return box, config, fitness, _settings(args)
 
 
@@ -442,6 +440,9 @@ def cmd_predict(args: argparse.Namespace, _options: None) -> int:
     columns["predicted"] = predict_batch(model, sset.features)
     if args.normalizer is not None:
         nmap = _read_json_file(args.normalizer, "normalizer", normalizer_from_json)
+        if sset.target_name not in nmap.names:
+            raise DataError(f"normalizer file {args.normalizer} has no record for column "
+                            f"{sset.target_name!r}")
         columns = {name: invert_normalizer(nmap, sset.target_name, values)
                    for name, values in columns.items()}
     write(args.out, {"predictions.csv": jsonio.csv_text(columns, zip(*columns.values()))})

@@ -134,8 +134,9 @@ class SupervisedSet:
 @dataclass(frozen=True)
 class NormalizationMap:
     """The fitted minimum and maximum of each named column (features, then
-    the target), and the interval [x_low, x_up] they map onto. A column
-    whose minimum equals its maximum is degenerate."""
+    the target), and the interval [x_low, x_up] they map onto, which has
+    x_up > x_low and a finite width. A column whose minimum equals its
+    maximum is degenerate."""
 
     names: tuple[str, ...]
     x_min: tuple[float, ...]
@@ -149,8 +150,8 @@ class NormalizationMap:
         for name, lo, hi in zip(self.names, self.x_min, self.x_max):
             if hi < lo:
                 raise DataError(f"column {name}: x_max < x_min")
-        if not self.x_up > self.x_low:
-            raise DataError("x_up must exceed x_low")
+        if not (self.x_up > self.x_low and math.isfinite(self.x_up - self.x_low)):
+            raise DataError("x_up must exceed x_low, by a finite width")
         if len(set(self.names)) != len(self.names):
             raise DataError("duplicate column name in normalization map")
 

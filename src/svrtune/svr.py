@@ -131,8 +131,8 @@ class SolverSettings:
     max_passes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.kkt_tolerance > 0:
-            raise ValueError("kkt_tolerance must be > 0")
+        if not (np.isfinite(self.kkt_tolerance) and self.kkt_tolerance > 0):
+            raise ValueError("kkt_tolerance must be finite and > 0")
         if self.max_passes is not None and self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
 

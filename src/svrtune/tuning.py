@@ -127,23 +127,28 @@ class FitnessSpec:
             return cls.kfold(int(text.split(":", 1)[1]))
         raise ValueError(f"unknown fitness spec {text!r}")
 
-    def validation_blocks(self, n: int) -> list[tuple[int, int]] | None:
-        """The validation blocks [a, b) of n training rows, the fit rows being
-        the rest: none for train_mse, one at the tail for holdout, k
-        contiguous chronological runs for kfold. A split that n rows cannot
-        take is a ValueError."""
+    def splits(self, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every split of n training rows as (fit rows, validation rows): for
+        train_mse all rows in both roles; for holdout the tail held out; for
+        kfold k contiguous chronological runs held out in turn, the rest
+        fitted. A split that n rows cannot take is a ValueError."""
+        if n < 1:
+            raise ValueError("train set is empty")
+        rows = np.arange(n)
+        if self.kind == "train_mse":
+            return [(rows, rows)]
         if self.kind == "holdout":
             n_val = max(1, int(round(self.fraction * n)))
             if n_val >= n:
                 raise ValueError("holdout fraction leaves no training rows")
-            return [(n - n_val, n)]
-        if self.kind == "kfold":
+            bounds = [n - n_val, n]
+        else:
             k = int(self.k)
             if k > n:
                 raise ValueError("more folds than rows")
             bounds = [round(i * n / k) for i in range(k + 1)]
-            return list(zip(bounds, bounds[1:]))
-        return None
+        return [(np.concatenate([rows[:a], rows[b:]]), rows[a:b])
+                for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -237,20 +242,27 @@ def _fingerprint(train: SupervisedSet, test: SupervisedSet) -> str:
     return h.hexdigest()[:16]
 
 
+def _fit_split(geometry: KernelGeometry, targets: np.ndarray, fit: np.ndarray,
+               val: np.ndarray, params: SvrParams, settings: SolverSettings | None):
+    """(model, validation MSE) of one split: the model fitted on the fit rows'
+    sub-block of the geometry (a view when they are contiguous), its
+    validation rows scored from the squared distances the geometry holds."""
+    sub = geometry.subset(fit)
+    model = train_svr(sub.features, targets[fit], params, settings, geometry=sub)
+    return model, mse(targets[val], predict_rows(model, geometry, val, fit))
+
+
 def _fit_and_score(train: SupervisedSet, test: SupervisedSet, params: Sequence[SvrParams],
                    settings: SolverSettings | None):
-    """(model, train MSE, test MSE) per SvrParams, in order: each fitted on one
-    kernel geometry of the training rows, which also scores them."""
-    if len(train) == 0:
-        raise ValueError("train set is empty")
+    """(model, train MSE, test MSE) per SvrParams, in order: each the train_mse
+    split of the training rows, on one kernel geometry of them."""
+    (fit, val), = FitnessSpec.train_mse().splits(len(train))
     if len(test) == 0:
         raise ValueError("test set is empty")
     geometry = KernelGeometry(train.features)
-    rows = np.arange(len(train))
     for p in params:
-        model = train_svr(train.features, train.targets, p, settings, geometry=geometry)
-        yield (model, mse(train.targets, predict_rows(model, geometry, rows)),
-               mse(test.targets, predict_batch(model, test.features)))
+        model, train_mse = _fit_split(geometry, train.targets, fit, val, p, settings)
+        yield model, train_mse, mse(test.targets, predict_batch(model, test.features))
 
 
 def sweep(train: SupervisedSet, test: SupervisedSet, spec: SweepSpec,
@@ -282,13 +294,12 @@ def select_range_by_sv_fraction(rows: Sequence[SweepRow], train_size: int,
 class SvrObjective:
     """Pure, picklable fitness over (c, epsilon, gamma) triples.
 
-    The splits are decided once: the spec's validation blocks and the fit
-    rows that are the rest, with their targets. The kernel geometry of the
-    training rows is built once too; every call fits on it (train_mse) or
-    on its sub-blocks (holdout and k-fold), and scores the validation rows
-    (the training rows for train_mse) from the squared distances it holds,
-    so repeated calls only pay for the kernel map, the dual solve and the
-    scoring sums.
+    The splits and the kernel geometry of the training rows are decided
+    once: every call fits each split on the geometry's sub-block and scores
+    its validation rows from the squared distances it holds, so repeated
+    calls only pay for the kernel map, the dual solve and the scoring sums.
+    A call reads neither features nor targets, which stay public for
+    callers that replay its solves.
 
     The fitness is a pure function of the triple, so the objective keeps a
     memo of every value it has scored, keyed by the triple's float64 bytes
@@ -303,22 +314,16 @@ class SvrObjective:
 
     def __init__(self, train: SupervisedSet, spec: FitnessSpec,
                  settings: SolverSettings) -> None:
-        if len(train) == 0:
-            raise ValueError("train set is empty")
         self.features = train.features
         self.targets = train.targets
         self.settings = settings
-        blocks = spec.validation_blocks(len(train))
-        rows = np.arange(len(train))
-        self._folds = None if blocks is None else [
-            (np.concatenate([rows[:a], rows[b:]]), rows[a:b]) for a, b in blocks]
-        self._splits = [(fit, val, self.targets[fit], self.targets[val])
-                        for fit, val in self._folds or [(rows, rows)]]
+        self._splits = spec.splits(len(train))
+        self._targets = train.targets
         self.geometry = KernelGeometry(self.features)
         self._memo: dict[bytes, float] = {}
 
-    def fold_indices(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        return self._folds
+    def fold_indices(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self._splits
 
     def __call__(self, x) -> float:
         return self.evaluate_with([x], lambda triples: map(self._score, triples))[0]
@@ -337,18 +342,11 @@ class SvrObjective:
         return [self._memo[key] for key in keys]
 
     def _score(self, x) -> float:
-        """The fitness at one triple, fitted now and not remembered: one fit
-        per split, on the split's sub-block of the geometry (a view when its
-        fit rows are contiguous)."""
+        """The mean validation MSE of the splits at one triple, not remembered."""
         c, epsilon, gamma = (float(v) for v in np.asarray(x, dtype=np.float64).ravel())
         params = SvrParams(c, epsilon, KernelSpec(gamma=gamma))
-        total = 0.0
-        for fit, val, fit_targets, val_targets in self._splits:
-            geometry = self.geometry.subset(fit)
-            model = train_svr(geometry.features, fit_targets, params, self.settings,
-                              geometry=geometry)
-            total += mse(val_targets, predict_rows(model, self.geometry, val, fit))
-        return total / len(self._splits)
+        return sum(_fit_split(self.geometry, self._targets, fit, val, params, self.settings)[1]
+                   for fit, val in self._splits) / len(self._splits)
 
 
 def make_fitness(train: SupervisedSet, spec: FitnessSpec, kernel_kind: str = "rbf",

@@ -350,8 +350,14 @@ class TestPredict:
         assert main(["ingest", *shared(data_csv, out, test_n=None), "--normalize"]) == 0
         assert main(["train", *shared(data_csv, out), "--normalize"]) == 0
         (tmp_path / "bad.json").write_text("{}")
+        doc = json.loads((out / "normalizer.json").read_text())
+        (tmp_path / "wide.json").write_text(json.dumps({**doc, "x_low": -1e308, "x_up": 1e308}))
+        doc["columns"] = [c for c in doc["columns"] if c["name"] != "next_close"]
+        (tmp_path / "no-target.json").write_text(json.dumps(doc))
         for name, message in (("nope.json", "normalizer file not found"),
-                              ("bad.json", "malformed normalizer file")):
+                              ("bad.json", "malformed normalizer file"),
+                              ("wide.json", "malformed normalizer file"),
+                              ("no-target.json", "no record for column 'next_close'")):
             code = main(["predict", "--model", str(out / "model.json"),
                          "--data", str(out / "supervised.csv"),
                          "--normalizer", str(tmp_path / name), "--out", str(out)])
@@ -581,6 +587,15 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
     ([*TUNE, "--method", "pso", "--c2", "inf"], {}),
     ([*TUNE, "--f", "inf"], {}),
     (["sweep", "--train-n", "1", "--vary", "epsilon", "--grid", "0.01:0.2:3"], {}),
+    (["train", "--normalize", "--x-low=-inf"], {}),
+    (["ingest", "--normalize", "--x-low=-inf"], {}),
+    (["train", "--normalize", "--x-up=inf"], {}),
+    (["ingest", "--normalize", "--x-up=inf"], {}),
+    (["train", "--normalize", "--x-low=-1e308", "--x-up=1e308"], {}),
+    (["ingest", "--normalize", "--x-low=-1e308", "--x-up=1e308"], {}),
+    (["train", "--kkt-tolerance", "inf"], {}),
+    (["sweep", "--vary", "epsilon", "--grid", "0.01:0.2:3", "--kkt-tolerance", "inf"], {}),
+    ([*TUNE, "--kkt-tolerance", "inf"], {}),
 ], ids=["holdout-abc", "kfold-1", "c-range-5-1", "np-2", "vmax-fraction-2", "kkt-tolerance-0",
         "max-passes-0", "fix-c-negative", "config-c-abc", "config-train-n-x", "config-bad-json",
         "out-under-a-file", "config-normalize-string", "c-range-below-sv-threshold",
@@ -590,7 +605,10 @@ def test_cli_defaults_are_the_librarys(data_csv, tmp_path):
         "train-c-1e-300", "train-c-1e-9", "fix-c-inf", "fix-epsilon-inf", "grid-hi-inf",
         "grid-c-1e-300", "train-c-1e308", "c-range-to-1e308", "grid-c-to-1e308",
         "kfold-121-of-120", "holdout-0.999", "pso-w-nan", "pso-w-inf", "pso-c1-nan",
-        "pso-c2-inf", "de-f-inf", "sweep-default-c-train-n-1"])
+        "pso-c2-inf", "de-f-inf", "sweep-default-c-train-n-1", "train-x-low-inf",
+        "ingest-x-low-inf", "train-x-up-inf", "ingest-x-up-inf", "train-x-1e308-wide",
+        "ingest-x-1e308-wide", "train-kkt-tolerance-inf", "sweep-kkt-tolerance-inf",
+        "tune-kkt-tolerance-inf"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rejected_values_exit_2(data_csv, tmp_path, capsys, argv, config):
     """A flag or config-file value that does not convert or is out of range

@@ -155,9 +155,15 @@ class TestNormalizer:
             fit_normalizer(sset, -1.0, 1.0, fit_rows=[])
 
     def test_bounds_rejected_by_the_map(self):
+        """x_up must exceed x_low by a finite width: an infinite bound, or
+        finite bounds whose width overflows, would make every value inf or
+        NaN."""
         sset = make_set([[1, 1, 1, 1, 1]], [1])
-        with pytest.raises(DataError, match="x_up must exceed x_low"):
-            fit_normalizer(sset, 1.0, 1.0)
+        inf = float("inf")
+        for x_low, x_up in ((1.0, 1.0), (-inf, 1.0), (-1.0, inf), (-inf, inf),
+                            (float("nan"), 1.0), (-1e308, 1e308)):
+            with pytest.raises(DataError, match="x_up must exceed x_low"):
+                fit_normalizer(sset, x_low, x_up)
 
     def test_midpoint_maps_to_center(self):
         sset = make_set([[10, 0, 0, 0, 0], [20, 1, 1, 1, 1]], [0, 1])

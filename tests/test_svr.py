@@ -168,6 +168,10 @@ class TestTrainSvr:
             SvrParams(c=0.0, epsilon=0.1, kernel=RBF)
         with pytest.raises(ValueError):
             SvrParams(c=1.0, epsilon=-0.1, kernel=RBF)
+        for tolerance in (0.0, -1e-3, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="kkt_tolerance"):
+                SolverSettings(kkt_tolerance=tolerance)
+        SolverSettings(kkt_tolerance=1e300)
 
     def test_lazy_kernel_path_consistent(self, monkeypatch):
         X, y = noisy_sine(40, seed=9)

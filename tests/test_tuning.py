@@ -319,6 +319,30 @@ class TestMakeFitness:
         with pytest.raises(ValueError):
             make_fitness(sset, FitnessSpec.train_mse(), "linear", SETTINGS)
 
+    def test_splits_of_each_kind(self):
+        """splits(n) gives every split as (fit rows, validation rows): every
+        row in both roles for train-mse, the tail held out for holdout, k
+        contiguous validation runs for kfold, each fitted on the rest."""
+        rows = list(range(10))
+        (fit, val), = FitnessSpec.train_mse().splits(10)
+        assert fit.tolist() == val.tolist() == rows
+        (fit, val), = FitnessSpec.holdout(0.2).splits(10)
+        assert (fit.tolist(), val.tolist()) == (rows[:8], [8, 9])
+        folds = FitnessSpec.kfold(3).splits(10)
+        assert [val.tolist() for _, val in folds] == [[0, 1, 2], [3, 4, 5, 6], [7, 8, 9]]
+        for fit, val in folds:
+            assert fit.tolist() == [r for r in rows if r not in val]
+        for spec in (FitnessSpec.train_mse(), FitnessSpec.holdout(0.2), FitnessSpec.kfold(3)):
+            with pytest.raises(ValueError, match="train set is empty"):
+                spec.splits(0)
+        with pytest.raises(ValueError, match="leaves no training rows"):
+            FitnessSpec.holdout(0.99).splits(10)
+        with pytest.raises(ValueError, match="more folds than rows"):
+            FitnessSpec.kfold(11).splits(10)
+        sset = wave_set(41, seed=5)
+        (fit, val), = make_fitness(sset, FitnessSpec.train_mse(), settings=SETTINGS).fold_indices()
+        assert fit.tolist() == val.tolist() == list(range(len(sset)))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FitnessSpec.holdout(1.5)
